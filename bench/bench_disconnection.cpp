@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   const RecomputeStats stats = session.apply(std::span<const LinkId>{&cut, 1});
   std::uint64_t pairs = 0;
   for (std::uint64_t e = 0; e < edges; ++e) {
-    pairs += session.state().tables[e].reachable_count();
+    pairs += session.state().tables.reachable_count(e);
   }
   std::printf(
       "3-level, 16-port fat tree: cut %s, patched %lu rows in place\n"

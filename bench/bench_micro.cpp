@@ -112,10 +112,11 @@ void BM_StructuralNextHops(benchmark::State& state) {
   const StructuralRouter router(topo);
   const SwitchId edge = topo.switch_at(1, 0);
   std::uint32_t dest = 0;
+  std::vector<Topology::Neighbor> scratch;
   for (auto _ : state) {
     dest = (dest + 37) % static_cast<std::uint32_t>(topo.num_hosts());
     if (dest < 32) dest = 32;  // stay off the probe edge's own hosts
-    benchmark::DoNotOptimize(router.next_hops(edge, HostId{dest}));
+    benchmark::DoNotOptimize(router.next_hops(edge, HostId{dest}, scratch));
   }
 }
 BENCHMARK(BM_StructuralNextHops);

@@ -45,7 +45,7 @@ std::uint64_t count_reachable_pairs(const RoutingState& state,
                                     std::uint64_t edges) {
   std::uint64_t pairs = 0;
   for (std::uint64_t e = 0; e < edges; ++e) {
-    pairs += state.tables[e].reachable_count();
+    pairs += state.tables.reachable_count(e);
   }
   return pairs;
 }

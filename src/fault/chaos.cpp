@@ -499,6 +499,12 @@ struct ChaosCampaign::Impl {
 ChaosCampaign::ChaosCampaign(ProtocolKind kind, const Topology& topo,
                              const ChaosOptions& options) {
   ASPEN_REQUIRE(options.num_events >= 0, "negative event count");
+  for (const double p :
+       {options.p_recover, options.p_switch_crash, options.p_crash_mid_reaction,
+        options.p_degrade, options.p_degrade_flap, options.p_domain_cut}) {
+    ASPEN_REQUIRE(is_probability(p),
+                  "chaos action probabilities must be in [0, 1], got ", p);
+  }
   impl_ = std::make_unique<Impl>(kind, topo, options);
 }
 

@@ -505,7 +505,7 @@ FlapScenarioResult run_flap_scenario(ProtocolKind kind, const Topology& topo,
   const RoutingState& end = proto->tables();
   result.tables_restored = true;
   for (std::size_t s = 0; s < end.tables.size(); ++s) {
-    if (!(end.tables[s] == start.tables[s])) {
+    if (!RoutingTables::switch_equal(end.tables, start.tables, s)) {
       result.tables_restored = false;
       break;
     }

@@ -112,10 +112,13 @@ std::vector<CompactTable> build_compact_tables(const Topology& topo) {
 }
 
 LabelRouter::LabelRouter(const Topology& topo)
-    : topo_(&topo), tables_(build_compact_tables(topo)) {}
+    : topo_(&topo),
+      tables_(build_compact_tables(topo)),
+      edges_per_pod_(edges_per_pod(topo.params())) {}
 
-std::vector<Topology::Neighbor> LabelRouter::next_hops(SwitchId at,
-                                                       HostId dst) const {
+std::span<const Topology::Neighbor> LabelRouter::next_hops(
+    SwitchId at, HostId dst,
+    std::vector<Topology::Neighbor>& /*scratch*/) const {
   const Topology& topo = *topo_;
   const TreeParams& params = topo.params();
   const CompactTable& table = tables_.at(at.value());
@@ -131,14 +134,14 @@ std::vector<Topology::Neighbor> LabelRouter::next_hops(SwitchId at,
   }
 
   // Longest-prefix match: is the destination under my pod?
-  const auto spans = edges_per_pod(params);
-  const std::uint64_t my_span = spans[static_cast<std::size_t>(table.level)];
+  const std::uint64_t my_span =
+      edges_per_pod_[static_cast<std::size_t>(table.level)];
   if (edge / my_span != topo.pod_of(at).value()) {
     return table.up_ports;  // default route
   }
   // Next label digit selects the child pod.
   const std::uint64_t child_span =
-      spans[static_cast<std::size_t>(table.level) - 1];
+      edges_per_pod_[static_cast<std::size_t>(table.level) - 1];
   const std::uint64_t child_pod = edge / child_span;
   const std::uint64_t r = params.r[static_cast<std::size_t>(table.level)];
   return table.child_pod_ports[child_pod -

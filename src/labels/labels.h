@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,10 @@ class LabelRouter final : public Router {
  public:
   explicit LabelRouter(const Topology& topo);
 
-  [[nodiscard]] std::vector<Topology::Neighbor> next_hops(
-      SwitchId at, HostId dst) const override;
+  /// Returns the matched compact entry's ports in place.
+  [[nodiscard]] std::span<const Topology::Neighbor> next_hops(
+      SwitchId at, HostId dst,
+      std::vector<Topology::Neighbor>& scratch) const override;
 
   [[nodiscard]] const CompactTable& table(SwitchId s) const {
     return tables_.at(s.value());
@@ -85,6 +88,7 @@ class LabelRouter final : public Router {
  private:
   const Topology* topo_;
   std::vector<CompactTable> tables_;
+  std::vector<std::uint64_t> edges_per_pod_;  // [1..n]
 };
 
 /// Forwarding-state accounting for a whole tree: compact (prefix) entries

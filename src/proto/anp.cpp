@@ -23,7 +23,7 @@ namespace {
 template <typename Fn>
 void mutate_entry(RoutingState& state, SwitchId s, std::uint64_t e, Fn&& fn) {
   RoutingTables& tables = state.tables;
-  RoutingTables::Entry& entry = tables.entry_at(s.value(), e);
+  RoutingTables::Entry& entry = tables.row(s.value(), e);
   const bool keep = state.has_digests();
   const std::uint64_t before = keep ? hash_fwd_entry(e, tables, entry) : 0;
   fn(entry);
@@ -240,7 +240,7 @@ void AnpSimulation::detect_failure(RunContext& ctx, SwitchId s, LinkId link) {
   bool changed = false;
   std::vector<DestIndex> lost;
   for (DestIndex e = 0; e < tables_.num_dests(); ++e) {
-    const RoutingTables::Entry& probe = tables_.tables.entry_at(s.value(), e);
+    const RoutingTables::Entry& probe = tables_.tables.row(s.value(), e);
     const std::span<const Topology::Neighbor> phops =
         tables_.tables.hops(probe);
     const auto it = std::ranges::find_if(
@@ -495,11 +495,11 @@ AuditReport AnpSimulation::audit() const {
     }
     for (DestIndex e = 0; e < tables_.num_dests(); ++e) {
       if (st.announced_lost[e] != 0 &&
-          tables_.table(s).entry(e).hop_count != 0) {
+          tables_.tables.row(s.value(), e).hop_count != 0) {
         std::ostringstream os;
         os << to_string(s) << " announced dest " << e
            << " lost but still holds "
-           << tables_.table(s).entry(e).hop_count << " next hop(s)";
+           << tables_.tables.row(s.value(), e).hop_count << " next hop(s)";
         report.add(AuditCode::kAnnouncedLostMismatch, os.str());
       }
     }

@@ -8,42 +8,8 @@ namespace aspen {
 
 namespace {
 
-// SplitMix64, matching the packet walker's ECMP hash.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 // Data-plane per-hop latency: propagation dominates (switching is ns).
 constexpr SimTime kHopLatency = 0.001;  // 1 µs in ms
-
-// Gray-drop verdict, identical keying to routing/packet_walk.cpp: per
-// (seed, link, src, dst), never per hop, so both walkers agree on a flow's
-// fate across the same gray link.
-bool gray_drops(const LinkStateOverlay& actual, LinkId link, HostId src,
-                HostId dst, const WalkOptions& options) {
-  if (!options.apply_health) return false;
-  const LinkHealthState h = actual.health(link);
-  if (h.health != LinkHealth::kGray) return false;
-  const std::uint64_t key =
-      // aspen-lint: allow(seed-arith) -- per-(flow,link) gray-drop hash predating derive_stream_seed; the mixing is pinned by recorded goldens and EXPERIMENTS baselines
-      mix64(options.health_seed ^
-            (static_cast<std::uint64_t>(src.value()) << 40) ^
-            (static_cast<std::uint64_t>(dst.value()) << 20) ^ link.value());
-  const double u = static_cast<double>(key >> 11) * 0x1.0p-53;
-  return u < h.loss_rate;
-}
-
-// Physically usable at the packet's *current* clock — the in-flight walker
-// tracks real per-hop time, so a flapping link's phase is evaluated when
-// the packet reaches it, not when it was injected.
-bool link_live(const LinkStateOverlay& actual, LinkId link,
-               const WalkOptions& options, SimTime now_ms) {
-  if (!actual.is_up(link)) return false;
-  return !options.apply_health || actual.phase_up(link, now_ms);
-}
 
 }  // namespace
 
@@ -59,110 +25,21 @@ WalkResult walk_during_convergence(const Topology& topo,
   ASPEN_REQUIRE(before.num_dests() == after.num_dests(),
                 "before/after tables have different granularity");
 
-  WalkResult result;
-  result.path.push_back(topo.node_of(src));
-  const SwitchId dest_edge = topo.edge_switch_of(dst);
-  SimTime now = inject_ms;
-
-  const Topology::Neighbor ingress = topo.host_uplink(src);
-  if (!link_live(actual, ingress.link, options, now)) {
-    result.status = WalkStatus::kDropped;
-    result.dropped_at = SwitchId::invalid();
-    return result;
-  }
-  if (gray_drops(actual, ingress.link, src, dst, options)) {
-    result.status = WalkStatus::kDropped;
-    result.dropped_at = SwitchId::invalid();
-    result.health_loss = true;
-    return result;
-  }
-  SwitchId at = topo.switch_of(ingress.node);
-  result.path.push_back(ingress.node);
-  result.hops = 1;
-  now += kHopLatency;
-
-  while (result.hops < options.ttl) {
-    if (at == dest_edge) {
-      const Topology::Neighbor downlink = topo.host_uplink(dst);
-      if (!link_live(actual, downlink.link, options, now)) {
-        result.status = WalkStatus::kDropped;
-        result.dropped_at = at;
-        return result;
-      }
-      if (gray_drops(actual, downlink.link, src, dst, options)) {
-        result.status = WalkStatus::kDropped;
-        result.dropped_at = at;
-        result.health_loss = true;
-        return result;
-      }
-      result.path.push_back(topo.node_of(dst));
-      ++result.hops;
-      result.status = WalkStatus::kDelivered;
-      return result;
-    }
-
-    ASPEN_ASSERT(now >= inject_ms,
-                 "in-flight clock ran backwards during a walk");
-    // The racing lookup: old entry before this switch's change completes.
-    const SimTime flipped_at = report.table_change_completed[at.value()];
-    const bool updated =
-        flipped_at != FailureReport::kNoChange && now >= flipped_at;
-    const RoutingState& view = updated ? after : before;
-    const std::span<const Topology::Neighbor> hops =
-        view.table(at).next_hops(view.dest_index(dst));
-    if (hops.empty()) {
-      result.status = WalkStatus::kNoRoute;
-      result.dropped_at = at;
-      return result;
-    }
-
-    const std::uint64_t key =
-        // aspen-lint: allow(seed-arith) -- per-flow ECMP hash predating derive_stream_seed; the mixing is pinned by recorded goldens and EXPERIMENTS baselines
-        mix64(options.flow_seed ^
-              (static_cast<std::uint64_t>(src.value()) << 32) ^ dst.value() ^
-              (static_cast<std::uint64_t>(at.value()) << 16));
-    const std::size_t first_choice = key % hops.size();
-
-    const Topology::Neighbor* chosen = nullptr;
-    if (options.local_link_awareness) {
-      for (std::size_t off = 0; off < hops.size(); ++off) {
-        const Topology::Neighbor& cand =
-            hops[(first_choice + off) % hops.size()];
-        if (link_live(actual, cand.link, options, now)) {
-          chosen = &cand;
-          break;
-        }
-      }
-    } else if (link_live(actual, hops[first_choice].link, options, now)) {
-      chosen = &hops[first_choice];
-    }
-    if (chosen == nullptr) {
-      result.status = WalkStatus::kDropped;
-      result.dropped_at = at;
-      return result;
-    }
-    if (gray_drops(actual, chosen->link, src, dst, options)) {
-      result.status = WalkStatus::kDropped;
-      result.dropped_at = at;
-      result.health_loss = true;
-      return result;
-    }
-
-    result.path.push_back(chosen->node);
-    ++result.hops;
-    now += kHopLatency;
-    if (!topo.is_switch_node(chosen->node)) {
-      ASPEN_CHECK(chosen->node == topo.node_of(dst),
-                  "routed into a host that is not the destination");
-      result.status = WalkStatus::kDelivered;
-      return result;
-    }
-    at = topo.switch_of(chosen->node);
-  }
-
-  result.status = WalkStatus::kTtlExceeded;
-  result.dropped_at = at;
-  return result;
+  // The walk's clock advances per hop, so a flapping link's phase is
+  // judged when the packet reaches it, not when it was injected.
+  return walk_rows(
+      topo, actual, src, dst, options, inject_ms, kHopLatency,
+      [&](SwitchId at, SimTime now) {
+        ASPEN_ASSERT(now >= inject_ms,
+                     "in-flight clock ran backwards during a walk");
+        // The racing lookup: old row before this switch's change completes.
+        const SimTime flipped_at = report.table_change_completed[at.value()];
+        const bool updated =
+            flipped_at != FailureReport::kNoChange && now >= flipped_at;
+        const RoutingState& view = updated ? after : before;
+        return view.tables.hops(
+            view.tables.row(at.value(), view.dest_index(dst)));
+      });
 }
 
 std::vector<WindowSample> measure_vulnerability_window(

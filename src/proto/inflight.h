@@ -11,7 +11,9 @@
 // walked hop by hop with data-plane latency; at each switch it consults the
 // *old* entry if it arrives before that switch's change completed and the
 // *new* entry afterwards — exactly the mixed state real packets race
-// against.  Sweeping t maps out the loss window.
+// against.  Sweeping t maps out the loss window.  The walker is only that
+// row source: the hop loop is the shared kernel (walk_rows over
+// ecmp::walk), so with no switch flipping it retraces walk_packet.
 //
 // Approximation: a switch whose table changes more than once during one
 // reaction (rare for single failures) is modeled as flipping once, at its

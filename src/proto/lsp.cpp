@@ -239,7 +239,8 @@ FailureReport LspSimulation::simulate_timed_events(
       // confirmed with the deep compare, keeping the diff exact.
       if (digest_cmp && tables_.digests[s] != after.digests[s]) {
         changes[s] = 1;
-      } else if (!(tables_.tables[s] == after.tables[s])) {
+      } else if (!RoutingTables::switch_equal(tables_.tables, after.tables,
+                                               s)) {
         changes[s] = 1;
       }
     }
@@ -428,7 +429,7 @@ FailureReport LspSimulation::simulate_timed_events(
     if (table_change_time[s] >= 0.0) {
       ASPEN_ASSERT(records_heard[s] == required,
                    "switch flipped tables before hearing every record");
-      tables_.tables[s] = after.tables[s];
+      tables_.tables.copy_switch(after.tables, s);
       if (tables_.has_digests() && after.has_digests()) {
         tables_.digests[s] = after.digests[s];
       }

@@ -33,9 +33,9 @@ bool LspLsdbSimulation::recompute_row(SwitchId s, LinkId changed) {
   const bool digests = tables_.has_digests() && st.view.has_digests();
   const bool differ =
       (digests && tables_.digests[s.value()] != st.view.digests[s.value()]) ||
-      !(tables_.tables[s.value()] == st.view.tables[s.value()]);
+      !RoutingTables::switch_equal(tables_.tables, st.view.tables, s.value());
   if (!differ) return false;
-  tables_.tables[s.value()] = st.view.tables[s.value()];
+  tables_.tables.copy_switch(st.view.tables, s.value());
   if (digests) tables_.digests[s.value()] = st.view.digests[s.value()];
   return true;
 }

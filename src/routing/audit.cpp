@@ -23,16 +23,16 @@ void check_shape(const Topology& topo, const RoutingState& state,
     report.add(AuditCode::kTableShape, os.str());
     return;
   }
+  // Every switch holds num_dests() rows by construction, so one check
+  // covers them all.
   const std::uint64_t expected_dests =
       state.granularity == DestGranularity::kEdge ? topo.params().S
                                                   : topo.num_hosts();
-  for (std::uint32_t v = 0; v < topo.num_switches(); ++v) {
-    if (state.tables[v].size() != expected_dests) {
-      std::ostringstream os;
-      os << to_string(SwitchId{v}) << " table has " << state.tables[v].size()
-         << " entries, expected " << expected_dests;
-      report.add(AuditCode::kTableShape, os.str());
-    }
+  if (state.num_dests() != expected_dests) {
+    std::ostringstream os;
+    os << "tables have " << state.num_dests() << " entries, expected "
+       << expected_dests;
+    report.add(AuditCode::kTableShape, os.str());
   }
   const auto expected_hpe = static_cast<std::uint32_t>(topo.ports()) / 2;
   if (state.hosts_per_edge != expected_hpe) {
@@ -50,9 +50,8 @@ void check_entries(const Topology& topo, const RoutingState& state,
     const SwitchId s{v};
     if (!is_alive(options, s)) continue;
     const NodeId self = topo.node_of(s);
-    const RoutingTables::TableView table = state.table(s);
-    for (std::uint64_t d = 0; d < table.size(); ++d) {
-      const RoutingTables::Entry& entry = table.entry(d);
+    for (std::uint64_t d = 0; d < state.num_dests(); ++d) {
+      const RoutingTables::Entry& entry = state.tables.row(v, d);
       // ANP withdraws hops without recomputing costs, so a non-empty hop
       // set with a stale cost is legal; hops surviving on an entry already
       // marked unreachable are not.
@@ -62,7 +61,7 @@ void check_entries(const Topology& topo, const RoutingState& state,
            << entry.hop_count << " next hop(s) remain";
         report.add(AuditCode::kCostInconsistency, os.str());
       }
-      for (const Topology::Neighbor& nb : table.next_hops(d)) {
+      for (const Topology::Neighbor& nb : state.tables.hops(entry)) {
         if (!nb.link.valid() || nb.link.value() >= topo.num_links()) {
           std::ostringstream os;
           os << to_string(s) << " dest " << d << ": next hop carries invalid "
@@ -154,7 +153,8 @@ class DestWalker {
 
     bool clean = true;
     const Level here = levels_[s.value()];
-    for (const Topology::Neighbor& nb : state_.table(s).next_hops(dest_)) {
+    for (const Topology::Neighbor& nb :
+         state_.tables.hops(state_.tables.row(s.value(), dest_))) {
       if (nb.node == dest_node_) continue;  // delivered to the host itself
       if (!topo_.is_switch_node(nb.node)) {
         std::ostringstream os;
@@ -198,10 +198,8 @@ void check_reachability(const Topology& topo, const RoutingState& state,
   for (std::uint32_t v = 0; v < topo.num_switches(); ++v) {
     const SwitchId s{v};
     if (!is_alive(options, s)) continue;
-    const RoutingTables::TableView table = state.table(s);
-    for (std::uint64_t d = 0; d < table.size(); ++d) {
-      const RoutingTables::Entry& entry = table.entry(d);
-      if (entry.reachable()) continue;
+    for (std::uint64_t d = 0; d < state.num_dests(); ++d) {
+      if (state.tables.row(v, d).reachable()) continue;
       // The kEdge self-entry legitimately has no hops (local delivery).
       if (state.granularity == DestGranularity::kEdge &&
           topo.level_of(s) == 1 && topo.switch_at(1, d) == s) {
@@ -259,8 +257,7 @@ AuditReport audit_incremental(const Topology& topo,
   std::uint64_t drifted = 0;
   std::uint64_t stale_digests = 0;
   for (std::uint32_t v = 0; v < topo.num_switches(); ++v) {
-    const bool rows_equal = state.tables[v] == fresh.tables[v];
-    if (!rows_equal) {
+    if (!RoutingTables::switch_equal(state.tables, fresh.tables, v)) {
       if (++drifted <= kMaxDetailed) {
         std::ostringstream os;
         os << to_string(SwitchId{v})

@@ -103,7 +103,7 @@ std::shared_ptr<const PinnedState> DeltaSession::pin() {
 void DeltaSession::corrupt_for_test() {
   ASPEN_REQUIRE(!state_.tables.empty() && state_.num_dests() > 0,
                 "nothing to corrupt");
-  RoutingTables::Entry& entry = state_.tables.front().entry(0);
+  RoutingTables::Entry& entry = state_.tables.row(0, 0);
   entry.cost = entry.cost == 7 ? 8 : 7;
   state_.tables.clear_hops(entry);
 }

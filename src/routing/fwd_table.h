@@ -42,10 +42,12 @@ namespace aspen {
 enum class DestGranularity { kEdge, kHost };
 
 /// Arena-backed forwarding tables for every switch in a topology: a
-/// dest-major entry array over one shared next-hop pool.  Per-switch views
-/// (TableView / TableRef) give the familiar "table of switch s, entry of
-/// destination d" access; all next-hop reads and writes go through the
-/// owning RoutingTables because an Entry only names a pool slice.
+/// dest-major entry array over one shared next-hop pool.  row(s, d) is the
+/// one checked way to reach the (switch, destination) row, and the
+/// per-switch operations (reachable_count, switch_equal, copy_switch) act
+/// on all of one switch's rows; all next-hop reads and writes go through
+/// the owning RoutingTables because an Entry only names a pool slice.
+/// ecmp::EcmpReadView is the unchecked reader for hot loops.
 class RoutingTables {
  public:
   using Neighbor = Topology::Neighbor;
@@ -102,14 +104,15 @@ class RoutingTables {
   [[nodiscard]] bool empty() const { return num_tables_ == 0; }
   [[nodiscard]] std::uint64_t num_dests() const { return num_dests_; }
 
-  // ---- entry access ----------------------------------------------------
+  // ---- row access ------------------------------------------------------
 
-  [[nodiscard]] const Entry& entry_at(std::uint64_t s, std::uint64_t d) const {
+  /// The row of switch `s` toward destination index `d`.
+  [[nodiscard]] const Entry& row(std::uint64_t s, std::uint64_t d) const {
     ASPEN_REQUIRE(s < num_tables_ && d < num_dests_,
                   "table entry out of range");
     return meta_[d * num_tables_ + s];
   }
-  [[nodiscard]] Entry& entry_at(std::uint64_t s, std::uint64_t d) {
+  [[nodiscard]] Entry& row(std::uint64_t s, std::uint64_t d) {
     ASPEN_REQUIRE(s < num_tables_ && d < num_dests_,
                   "table entry out of range");
     return meta_[d * num_tables_ + s];
@@ -126,12 +129,6 @@ class RoutingTables {
   // ---- slice mutation (keeps hop_count/cap coherent) -------------------
 
   void clear_hops(Entry& e) { e.hop_count = 0; }
-
-  void push_hop(Entry& e, Neighbor nb) {
-    if (e.hop_count == e.hop_cap) grow(e);
-    pool_[e.hop_begin + e.hop_count] = nb;
-    ++e.hop_count;
-  }
 
   void assign_hops(Entry& e, std::span<const Neighbor> hops) {
     while (e.hop_cap < hops.size()) grow(e);
@@ -188,114 +185,49 @@ class RoutingTables {
     return removed;
   }
 
-  // ---- per-switch views ------------------------------------------------
+  // ---- per-switch operations -------------------------------------------
 
-  class TableView {
-   public:
-    TableView(const RoutingTables* t, std::uint64_t s) : t_(t), s_(s) {}
-
-    [[nodiscard]] const Entry& entry(std::uint64_t d) const {
-      return t_->entry_at(s_, d);
-    }
-    [[nodiscard]] std::span<const Neighbor> next_hops(std::uint64_t d) const {
-      return t_->hops(entry(d));
-    }
-    [[nodiscard]] std::uint64_t size() const { return t_->num_dests(); }
-
-    /// Number of destinations currently reachable.
-    [[nodiscard]] std::uint64_t reachable_count() const {
-      std::uint64_t count = 0;
-      for (std::uint64_t d = 0; d < t_->num_dests(); ++d) {
-        if (entry(d).reachable()) ++count;
-      }
-      return count;
-    }
-
-    [[nodiscard]] const RoutingTables& owner() const { return *t_; }
-
-    /// Logical content equality: costs and hop sequences, not offsets.
-    friend bool operator==(const TableView& a, const TableView& b) {
-      if (a.size() != b.size()) return false;
-      for (std::uint64_t d = 0; d < a.size(); ++d) {
-        if (!rows_equal(*a.t_, a.entry(d), *b.t_, b.entry(d))) return false;
-      }
-      return true;
-    }
-
-   private:
-    const RoutingTables* t_;
-    std::uint64_t s_;
-  };
-
-  class TableRef {
-   public:
-    TableRef(RoutingTables* t, std::uint64_t s) : t_(t), s_(s) {}
-
-    [[nodiscard]] Entry& entry(std::uint64_t d) const {
-      return t_->entry_at(s_, d);
-    }
-    [[nodiscard]] std::span<const Neighbor> next_hops(std::uint64_t d) const {
-      return t_->hops(entry(d));
-    }
-    [[nodiscard]] std::uint64_t size() const { return t_->num_dests(); }
-    [[nodiscard]] std::uint64_t reachable_count() const {
-      return TableView(*this).reachable_count();
-    }
-    [[nodiscard]] RoutingTables& owner() const { return *t_; }
-
-    // A TableRef is a view; converting to the const view is free.
-    operator TableView() const { return {t_, s_}; }  // NOLINT(google-explicit-constructor)
-
-    TableRef(const TableRef&) = default;
-    /// Proxy deep-assignment (vector<bool>::reference-style): copies the
-    /// source table's row contents — costs and hop slices — into this
-    /// switch's rows, the semantics element assignment had when tables
-    /// were a vector of per-switch objects.  Without this, `a[s] = b[s]`
-    /// would silently rebind the proxy and copy nothing.
-    const TableRef& operator=(const TableView& src) const {
-      copy_rows_from(src);
-      return *this;
-    }
-    const TableRef& operator=(const TableRef& src) const {
-      copy_rows_from(TableView(src));
-      return *this;
-    }
-
-    /// Deep row-content copy from another state's table for the same
-    /// switch of the same topology (LSP's per-switch convergence model).
-    void copy_rows_from(const TableView& src) const {
-      ASPEN_REQUIRE(src.size() == size(),
-                    "row copy between different table shapes");
-      for (std::uint64_t d = 0; d < size(); ++d) {
-        Entry& dst = entry(d);
-        dst.cost = src.entry(d).cost;
-        t_->assign_hops(dst, src.owner().hops(src.entry(d)));
-      }
-    }
-
-    friend bool operator==(const TableRef& a, const TableView& b) {
-      return TableView(a) == b;
-    }
-
-   private:
-    RoutingTables* t_;
-    std::uint64_t s_;
-  };
-
-  [[nodiscard]] TableView operator[](std::uint64_t s) const {
-    return {this, s};
-  }
-  [[nodiscard]] TableRef operator[](std::uint64_t s) { return {this, s}; }
-  [[nodiscard]] TableView at(std::uint64_t s) const {
+  /// Number of destinations switch `s` currently reaches.
+  [[nodiscard]] std::uint64_t reachable_count(std::uint64_t s) const {
     ASPEN_REQUIRE(s < num_tables_, "table index out of range");
-    return {this, s};
+    std::uint64_t count = 0;
+    for (std::uint64_t d = 0; d < num_dests_; ++d) {
+      if (meta_[d * num_tables_ + s].reachable()) ++count;
+    }
+    return count;
   }
-  [[nodiscard]] TableRef at(std::uint64_t s) {
-    ASPEN_REQUIRE(s < num_tables_, "table index out of range");
-    return {this, s};
+
+  /// Logical equality of switch `s`'s rows in two tables: costs and hop
+  /// sequences, not pool offsets.
+  [[nodiscard]] static bool switch_equal(const RoutingTables& a,
+                                         const RoutingTables& b,
+                                         std::uint64_t s) {
+    ASPEN_REQUIRE(s < a.num_tables_ && s < b.num_tables_,
+                  "table index out of range");
+    if (a.num_dests_ != b.num_dests_) return false;
+    for (std::uint64_t d = 0; d < a.num_dests_; ++d) {
+      if (!rows_equal(a, a.meta_[d * a.num_tables_ + s], b,
+                      b.meta_[d * b.num_tables_ + s])) {
+        return false;
+      }
+    }
+    return true;
   }
-  [[nodiscard]] TableView front() const { return at(0); }
-  [[nodiscard]] TableRef front() { return at(0); }
+
+  /// Deep copy of switch `s`'s rows — costs and hop slices — from `src`,
+  /// a table of the same shape (LSP's per-switch table flip).
+  void copy_switch(const RoutingTables& src, std::uint64_t s) {
+    ASPEN_REQUIRE(s < num_tables_ && s < src.num_tables_,
+                  "table index out of range");
+    ASPEN_REQUIRE(src.num_dests_ == num_dests_,
+                  "row copy between different table shapes");
+    for (std::uint64_t d = 0; d < num_dests_; ++d) {
+      Entry& to = meta_[d * num_tables_ + s];
+      const Entry& from = src.meta_[d * src.num_tables_ + s];
+      to.cost = from.cost;
+      assign_hops(to, src.hops(from));
+    }
+  }
 
   /// Test hook for shape-corruption checks: forget the last table.
   void pop_back() {
@@ -434,7 +366,7 @@ struct RoutingState {
   DestGranularity granularity = DestGranularity::kEdge;
   /// k/2 — maps a HostId to its edge-switch prefix index under kEdge.
   std::uint32_t hosts_per_edge = 1;
-  RoutingTables tables;  ///< per-switch views indexed by SwitchId
+  RoutingTables tables;  ///< rows of every switch, indexed by SwitchId
   /// Per-switch XOR-of-row-hashes fingerprints (see hash_fwd_row),
   /// maintained by the routing engine.  Empty on states built by hand;
   /// digest-aware code falls back to deep compares then.
@@ -450,13 +382,6 @@ struct RoutingState {
     return granularity == DestGranularity::kEdge
                ? dst.value() / hosts_per_edge
                : dst.value();
-  }
-
-  [[nodiscard]] RoutingTables::TableView table(SwitchId s) const {
-    return tables.at(s.value());
-  }
-  [[nodiscard]] RoutingTables::TableRef table(SwitchId s) {
-    return tables.at(s.value());
   }
 
   /// Destinations per table (S for kEdge, host count for kHost).

@@ -1,36 +1,15 @@
 #include "src/routing/packet_walk.h"
 
-#include "src/routing/ecmp.h"
 #include "src/util/contracts.h"
 #include "src/util/status.h"
 
 namespace aspen {
 
-namespace {
-
-// Thin adapters over the shared ECMP primitives (src/routing/ecmp.h): the
-// walker and the flow plane must reach byte-identical verdicts, so the
-// hashes and liveness probes live there once.
-
-bool gray_drops(const LinkStateOverlay& actual, LinkId link, HostId src,
-                HostId dst, const WalkOptions& options) {
-  return ecmp::gray_drops(actual, link, src, dst, options.apply_health,
-                          options.health_seed);
-}
-
-bool link_live(const LinkStateOverlay& actual, LinkId link,
-               const WalkOptions& options) {
-  return ecmp::link_live(actual, link, options.apply_health,
-                         options.at_time_ms);
-}
-
-}  // namespace
-
-std::vector<Topology::Neighbor> TableRouter::next_hops(SwitchId at,
-                                                       HostId dst) const {
-  const std::span<const Topology::Neighbor> hops =
-      state_->table(at).next_hops(state_->dest_index(dst));
-  return {hops.begin(), hops.end()};
+std::span<const Topology::Neighbor> TableRouter::next_hops(
+    SwitchId at, HostId dst,
+    std::vector<Topology::Neighbor>& /*scratch*/) const {
+  const RoutingTables& tables = state_->tables;
+  return tables.hops(tables.row(at.value(), state_->dest_index(dst)));
 }
 
 StructuralRouter::StructuralRouter(const Topology& topo) : topo_(&topo) {
@@ -50,8 +29,8 @@ StructuralRouter::StructuralRouter(const Topology& topo) : topo_(&topo) {
                " edges, expected ", params.S);
 }
 
-std::vector<Topology::Neighbor> StructuralRouter::next_hops(
-    SwitchId at, HostId dst) const {
+std::span<const Topology::Neighbor> StructuralRouter::next_hops(
+    SwitchId at, HostId dst, std::vector<Topology::Neighbor>& scratch) const {
   const Topology& topo = *topo_;
   const std::uint64_t dest_edge_index =
       dst.value() / (static_cast<std::uint64_t>(topo.ports()) / 2);
@@ -62,140 +41,37 @@ std::vector<Topology::Neighbor> StructuralRouter::next_hops(
     // Wrong edge switch: the destination is elsewhere, climb.
     ASPEN_REQUIRE(topo.index_in_level(at) != dest_edge_index,
                   "next_hops called at the destination edge switch");
-    return {topo.up_neighbors(at).begin(), topo.up_neighbors(at).end()};
+    return topo.up_neighbors(at);
   }
 
   const std::uint64_t span_here = edges_per_pod_[static_cast<std::size_t>(level)];
   const std::uint64_t my_pod = topo.pod_of(at).value();
   const bool descendant = dest_edge_index / span_here == my_pod;
-  if (!descendant) {
-    return {topo.up_neighbors(at).begin(), topo.up_neighbors(at).end()};
-  }
+  if (!descendant) return topo.up_neighbors(at);
 
   // Descend toward the child pod that owns the destination edge.
   const std::uint64_t span_below =
       edges_per_pod_[static_cast<std::size_t>(level) - 1];
   const std::uint64_t target_child_pod = dest_edge_index / span_below;
-  std::vector<Topology::Neighbor> hops;
+  scratch.clear();
   for (const Topology::Neighbor& nb : topo.down_neighbors(at)) {
     const SwitchId below = topo.switch_of(nb.node);
-    if (topo.pod_of(below).value() == target_child_pod) hops.push_back(nb);
+    if (topo.pod_of(below).value() == target_child_pod) scratch.push_back(nb);
   }
   // Striping regularity (Eq. 2): c_i >= 1 links reach every child pod.
-  ASPEN_ASSERT(!hops.empty(), "no structural link into child pod ",
+  ASPEN_ASSERT(!scratch.empty(), "no structural link into child pod ",
                target_child_pod, " from switch ", at.value());
-  return hops;
+  return scratch;
 }
 
 WalkResult walk_packet(const Topology& topo, const Router& knowledge,
                        const LinkStateOverlay& actual, HostId src, HostId dst,
                        const WalkOptions& options) {
-  WalkResult result;
-  result.path.push_back(topo.node_of(src));
-
-  const SwitchId dest_edge = topo.edge_switch_of(dst);
-
-  // First hop: host to its edge switch.
-  const Topology::Neighbor ingress = topo.host_uplink(src);
-  if (!link_live(actual, ingress.link, options)) {
-    result.status = WalkStatus::kDropped;
-    result.dropped_at = SwitchId::invalid();  // died on the host link
-    return result;
-  }
-  if (gray_drops(actual, ingress.link, src, dst, options)) {
-    result.status = WalkStatus::kDropped;
-    result.dropped_at = SwitchId::invalid();
-    result.health_loss = true;
-    return result;
-  }
-  SwitchId at = topo.switch_of(ingress.node);
-  result.path.push_back(ingress.node);
-  result.hops = 1;
-
-  while (result.hops < options.ttl) {
-    if (at == dest_edge) {
-      // Final hop: edge switch to host.
-      const Topology::Neighbor downlink = topo.host_uplink(dst);
-      if (!link_live(actual, downlink.link, options)) {
-        result.status = WalkStatus::kDropped;
-        result.dropped_at = at;
-        return result;
-      }
-      if (gray_drops(actual, downlink.link, src, dst, options)) {
-        result.status = WalkStatus::kDropped;
-        result.dropped_at = at;
-        result.health_loss = true;
-        return result;
-      }
-      result.path.push_back(topo.node_of(dst));
-      ++result.hops;
-      ASPEN_ASSERT(result.path.size() ==
-                       static_cast<std::size_t>(result.hops) + 1,
-                   "walk path length disagrees with hop count");
-      result.status = WalkStatus::kDelivered;
-      return result;
-    }
-
-    const std::vector<Topology::Neighbor> hops = knowledge.next_hops(at, dst);
-    if (hops.empty()) {
-      result.status = WalkStatus::kNoRoute;
-      result.dropped_at = at;
-      return result;
-    }
-
-    // Deterministic ECMP pick over the offered set.
-    const std::uint64_t key = ecmp::flow_key(options.flow_seed, src, dst, at);
-    const std::size_t first_choice = key % hops.size();
-
-    const Topology::Neighbor* chosen = nullptr;
-    if (options.local_link_awareness) {
-      // The switch sees its own dead ports: rotate from the hashed choice
-      // to the first live one.  Gray links look live here — their loss is
-      // silent — but a flapping link's down phase is an observably dead
-      // port, so link_live() skips it.
-      for (std::size_t off = 0; off < hops.size(); ++off) {
-        const Topology::Neighbor& cand =
-            hops[(first_choice + off) % hops.size()];
-        if (link_live(actual, cand.link, options)) {
-          chosen = &cand;
-          break;
-        }
-      }
-      if (chosen == nullptr) {
-        result.status = WalkStatus::kDropped;
-        result.dropped_at = at;
-        return result;
-      }
-    } else {
-      chosen = &hops[first_choice];
-      if (!link_live(actual, chosen->link, options)) {
-        result.status = WalkStatus::kDropped;
-        result.dropped_at = at;
-        return result;
-      }
-    }
-    if (gray_drops(actual, chosen->link, src, dst, options)) {
-      result.status = WalkStatus::kDropped;
-      result.dropped_at = at;
-      result.health_loss = true;
-      return result;
-    }
-
-    result.path.push_back(chosen->node);
-    ++result.hops;
-    if (!topo.is_switch_node(chosen->node)) {
-      // Host-granularity tables can hand us the host link directly.
-      ASPEN_CHECK(chosen->node == topo.node_of(dst),
-                  "router forwarded into a host that is not the destination");
-      result.status = WalkStatus::kDelivered;
-      return result;
-    }
-    at = topo.switch_of(chosen->node);
-  }
-
-  result.status = WalkStatus::kTtlExceeded;
-  result.dropped_at = at;
-  return result;
+  std::vector<Topology::Neighbor> scratch;
+  return walk_rows(topo, actual, src, dst, options, options.at_time_ms,
+                   /*hop_ms=*/0.0, [&](SwitchId at, double /*now*/) {
+                     return knowledge.next_hops(at, dst, scratch);
+                   });
 }
 
 }  // namespace aspen

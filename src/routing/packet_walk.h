@@ -11,11 +11,18 @@
 // local even when *notification* has not propagated), so by default a switch
 // skips next hops whose first link is down and only drops when no offered
 // next hop is actually usable.
+//
+// walk_packet is a thin adapter over the one hop-loop kernel, ecmp::walk
+// (src/routing/ecmp.h): the Router is its row source, ecmp::pick_hashed its
+// pick, and the visitor records the node path.  walk_rows is the same
+// adapter over any row source; the in-flight walker uses it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "src/routing/ecmp.h"
 #include "src/routing/fwd_table.h"
 #include "src/topo/link_state.h"
 #include "src/topo/topology.h"
@@ -26,20 +33,25 @@ namespace aspen {
 class Router {
  public:
   virtual ~Router() = default;
-  /// ECMP next-hop set at switch `at` for a packet destined to host `dst`.
-  /// An empty set means "no route".  Never called at the destination's
-  /// edge switch (delivery there is the walker's job).
-  [[nodiscard]] virtual std::vector<Topology::Neighbor> next_hops(
-      SwitchId at, HostId dst) const = 0;
+  /// ECMP next-hop row at switch `at` for a packet destined to host `dst`;
+  /// an empty row means "no route".  A router that stores its rows returns
+  /// them in place; one that computes a row fills `scratch` (owned by the
+  /// walk and reused hop to hop) and returns a view of it.  Never called
+  /// at the destination's edge switch (delivery there is the walker's job).
+  [[nodiscard]] virtual std::span<const Topology::Neighbor> next_hops(
+      SwitchId at, HostId dst,
+      std::vector<Topology::Neighbor>& scratch) const = 0;
 };
 
 /// Routes from explicit forwarding tables (e.g. what LSP converged to, or
-/// what ANP patched after a failure).
+/// what ANP patched after a failure).  Reads through the state on every
+/// call, so the state may change between walks (ANP detours grow slices).
 class TableRouter final : public Router {
  public:
   explicit TableRouter(const RoutingState& state) : state_(&state) {}
-  [[nodiscard]] std::vector<Topology::Neighbor> next_hops(
-      SwitchId at, HostId dst) const override;
+  [[nodiscard]] std::span<const Topology::Neighbor> next_hops(
+      SwitchId at, HostId dst,
+      std::vector<Topology::Neighbor>& scratch) const override;
 
  private:
   const RoutingState* state_;
@@ -52,8 +64,11 @@ class TableRouter final : public Router {
 class StructuralRouter final : public Router {
  public:
   explicit StructuralRouter(const Topology& topo);
-  [[nodiscard]] std::vector<Topology::Neighbor> next_hops(
-      SwitchId at, HostId dst) const override;
+  /// Climbing rows are the switch's uplinks, in place; a descent set is
+  /// filtered into `scratch`.
+  [[nodiscard]] std::span<const Topology::Neighbor> next_hops(
+      SwitchId at, HostId dst,
+      std::vector<Topology::Neighbor>& scratch) const override;
 
   /// Number of L_1 switches underneath one pod at `level`.
   [[nodiscard]] std::uint64_t edges_per_pod(Level level) const {
@@ -65,21 +80,9 @@ class StructuralRouter final : public Router {
   std::vector<std::uint64_t> edges_per_pod_;  // [1..n]
 };
 
-enum class WalkStatus {
-  kDelivered,     ///< reached the destination host
-  kDropped,       ///< switch had candidate hops but every one was dead
-  kNoRoute,       ///< router returned an empty next-hop set
-  kTtlExceeded,   ///< forwarding loop or pathologically long path
-};
-
-struct WalkResult {
-  WalkStatus status = WalkStatus::kNoRoute;
+/// The kernel's stop record plus the node path it visited.
+struct WalkResult : ecmp::WalkStop {
   std::vector<NodeId> path;  ///< nodes visited, starting at the source host
-  SwitchId dropped_at = SwitchId::invalid();  ///< where the packet died
-  int hops = 0;  ///< links traversed (including the final host link)
-  /// The packet died to degraded link health (a gray drop) rather than to a
-  /// dead link or a missing route.
-  bool health_loss = false;
 
   [[nodiscard]] bool delivered() const {
     return status == WalkStatus::kDelivered;
@@ -114,5 +117,37 @@ struct WalkOptions {
                                      const LinkStateOverlay& actual,
                                      HostId src, HostId dst,
                                      const WalkOptions& options = {});
+
+/// walk_packet's decisions over an arbitrary row source: `rows(at, now)`
+/// returns switch `at`'s row toward `dst` at walk instant `now`.  The walk
+/// starts at `start_ms` and its clock advances `hop_ms` per link crossed;
+/// options.at_time_ms is not consulted.
+template <typename Rows>
+[[nodiscard]] WalkResult walk_rows(const Topology& topo,
+                                   const LinkStateOverlay& actual, HostId src,
+                                   HostId dst, const WalkOptions& options,
+                                   double start_ms, double hop_ms,
+                                   Rows&& rows) {
+  WalkResult result;
+  const ecmp::WalkSpec spec{.src = src,
+                            .dst = dst,
+                            .ttl = options.ttl,
+                            .apply_health = options.apply_health,
+                            .health_seed = options.health_seed,
+                            .start_ms = start_ms,
+                            .hop_ms = hop_ms};
+  static_cast<ecmp::WalkStop&>(result) = ecmp::walk(
+      topo, actual, spec, rows,
+      [&](std::span<const Topology::Neighbor> row, SwitchId at,
+          const auto& live) {
+        return ecmp::pick_hashed(
+            row, ecmp::flow_key(options.flow_seed, src, dst, at),
+            options.local_link_awareness, live);
+      },
+      [&](NodeId node) { result.path.push_back(node); });
+  ASPEN_ASSERT(result.path.size() == static_cast<std::size_t>(result.hops) + 1,
+               "walk path length disagrees with hop count");
+  return result;
+}
 
 }  // namespace aspen

@@ -73,8 +73,8 @@ std::vector<std::vector<NodeId>> enumerate_shortest_paths(
       paths.push_back(current);
       current.pop_back();
     } else {
-      for (const Topology::Neighbor& nb :
-           routes.table(at).next_hops(dest_index)) {
+      for (const Topology::Neighbor& nb : routes.tables.hops(
+               routes.tables.row(at.value(), dest_index))) {
         dfs(topo.switch_of(nb.node));
       }
     }
@@ -98,7 +98,7 @@ std::uint64_t count_shortest_paths(const Topology& topo,
     if (memo[at.value()] != kUncounted) return memo[at.value()];
     std::uint64_t total = 0;
     for (const Topology::Neighbor& nb :
-         routes.table(at).next_hops(dest_index)) {
+         routes.tables.hops(routes.tables.row(at.value(), dest_index))) {
       total += count(topo.switch_of(nb.node));
     }
     memo[at.value()] = total;

@@ -349,7 +349,7 @@ RecomputeStats recompute_updown_routes(const Topology& topo,
     for (std::uint64_t s = 0; s < num_switches; ++s) {
       std::uint64_t h = 0;
       for (std::uint64_t d = 0; d < num_dests; ++d) {
-        const Entry& e = state.tables.entry_at(s, d);
+        const Entry& e = state.tables.row(s, d);
         h ^= hash_fwd_row(d, e.cost, state.tables.hops(e));
       }
       state.digests[s] = h;
@@ -553,7 +553,9 @@ std::uint64_t switches_with_changed_tables(const RoutingState& before,
       ++changed;
       continue;
     }
-    if (!(before.tables[s] == after.tables[s])) ++changed;
+    if (!RoutingTables::switch_equal(before.tables, after.tables, s)) {
+      ++changed;
+    }
   }
   return changed;
 }

@@ -120,9 +120,9 @@ QueryResult execute_query(const Topology& topo,
           switches_with_changed_tables(snapshot.state, hypothetical));
       const SwitchId vantage = topo.edge_switch_of(HostId{request.src});
       const std::uint64_t before =
-          snapshot.state.table(vantage).reachable_count();
+          snapshot.state.tables.reachable_count(vantage.value());
       const std::uint64_t after =
-          hypothetical.table(vantage).reachable_count();
+          hypothetical.tables.reachable_count(vantage.value());
       result.dests_lost =
           static_cast<std::uint32_t>(before > after ? before - after : 0);
       break;

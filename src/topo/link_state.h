@@ -250,9 +250,15 @@ class LinkStateOverlay {
   bool erase_degraded(std::uint32_t id) {
     if (!bit_test(degraded_words_, id)) return false;
     bit_clear(degraded_words_, id);
-    const std::uint64_t pos = degraded_index(id);
-    degraded_ids_.erase(degraded_ids_.begin() + static_cast<long>(pos));
-    degraded_states_.erase(degraded_states_.begin() + static_cast<long>(pos));
+    // Always-on check: it bounds the erase position for the optimizer,
+    // which a release-elided ASPEN_ASSERT cannot.
+    const auto it =
+        std::lower_bound(degraded_ids_.begin(), degraded_ids_.end(), id);
+    ASPEN_CHECK(it != degraded_ids_.end() && *it == id,
+                "degraded bitset and id vector out of sync");
+    degraded_states_.erase(degraded_states_.begin() +
+                           (it - degraded_ids_.begin()));
+    degraded_ids_.erase(it);
     return true;
   }
 

@@ -22,16 +22,52 @@ std::uint64_t fold_node(std::uint64_t h, NodeId node) {
   return h;
 }
 
-struct WalkScratch {
-  std::uint64_t path_hash = kFnvOffset;
-  std::uint16_t hops = 0;
-  std::vector<NodeId>* path_out = nullptr;
-
-  void visit(NodeId node) {
-    path_hash = fold_node(path_hash, node);
-    if (path_out != nullptr) path_out->push_back(node);
+/// The flow fate a terminal walk status counts as.
+FlowFate fate_of(WalkStatus status) {
+  switch (status) {
+    case WalkStatus::kDelivered: return FlowFate::kDelivered;
+    case WalkStatus::kDropped: return FlowFate::kBlackholed;
+    case WalkStatus::kNoRoute: return FlowFate::kNoRoute;
+    case WalkStatus::kTtlExceeded: return FlowFate::kLooped;
   }
-};
+  ASPEN_UNREACHABLE("unknown walk status");
+}
+
+// Lowest live link id: no hash involved, so the pick is the same under
+// every seed.
+template <typename Live>
+const Topology::Neighbor* pick_lowest(std::span<const Topology::Neighbor> row,
+                                      const Live& live) {
+  const Topology::Neighbor* chosen = nullptr;
+  for (const Topology::Neighbor& cand : row) {
+    if (!live(cand.link)) continue;
+    if (chosen == nullptr || cand.link.value() < chosen->link.value()) {
+      chosen = &cand;
+    }
+  }
+  return chosen;
+}
+
+// Hash-weighted over live hops only; weight = candidate's physical degree,
+// so fatter subtrees attract proportionally more flows.
+template <typename Live>
+const Topology::Neighbor* pick_weighted(
+    std::span<const Topology::Neighbor> row, std::uint64_t key,
+    const std::vector<std::uint32_t>& node_weight, const Live& live) {
+  std::uint64_t total_weight = 0;
+  for (const Topology::Neighbor& cand : row) {
+    if (live(cand.link)) total_weight += node_weight[cand.node.value()];
+  }
+  if (total_weight == 0) return nullptr;
+  std::uint64_t r = key % total_weight;
+  for (const Topology::Neighbor& cand : row) {
+    if (!live(cand.link)) continue;
+    const std::uint64_t w = node_weight[cand.node.value()];
+    if (r < w) return &cand;
+    r -= w;
+  }
+  return nullptr;
+}
 
 }  // namespace
 
@@ -130,137 +166,47 @@ FlowPlane::Attempt FlowPlane::walk_one(std::uint64_t i,
                                        const LinkStateOverlay& actual,
                                        double at_time_ms,
                                        std::vector<NodeId>* path_out) const {
-  const Topology& topo = *topo_;
   const HostId src{src_[i]};
   const HostId dst{dst_[i]};
   const std::uint64_t seed = flow_seed(i);
-  const bool health = options_.apply_health;
-  const std::uint64_t health_seed = options_.health_seed;
+  const std::uint64_t dest_index = view.dest_index(dst);
+  const ecmp::WalkSpec spec{.src = src,
+                            .dst = dst,
+                            .ttl = options_.ttl,
+                            .apply_health = options_.apply_health,
+                            .health_seed = options_.health_seed,
+                            .start_ms = at_time_ms};
 
   if (path_out != nullptr) path_out->clear();
-  WalkScratch walk;
-  walk.path_out = path_out;
-  walk.visit(topo.node_of(src));
+  std::uint64_t path_hash = kFnvOffset;
+  const ecmp::WalkStop stop = ecmp::walk(
+      *topo_, actual, spec,
+      [&](SwitchId at, double /*now*/) { return view.row(at, dest_index); },
+      [&](std::span<const Topology::Neighbor> row, SwitchId at,
+          const auto& live) -> const Topology::Neighbor* {
+        switch (options_.policy) {
+          case NextHopPolicy::kSeededHash:
+            // A flow plane switch always sees its own dead ports.
+            return ecmp::pick_hashed(row, ecmp::flow_key(seed, src, dst, at),
+                                     /*aware=*/true, live);
+          case NextHopPolicy::kLowest:
+            return pick_lowest(row, live);
+          case NextHopPolicy::kWeighted:
+            return pick_weighted(row, ecmp::flow_key(seed, src, dst, at),
+                                 node_weight_, live);
+        }
+        return nullptr;
+      },
+      [&](NodeId node) {
+        path_hash = fold_node(path_hash, node);
+        if (path_out != nullptr) path_out->push_back(node);
+      });
 
   Attempt attempt;
-  const auto fail = [&](FlowFate outcome) {
-    attempt.outcome = outcome;
-    attempt.path_hash = walk.path_hash;
-    attempt.hops = walk.hops;
-    return attempt;
-  };
-
-  const SwitchId dest_edge = topo.edge_switch_of(dst);
-  const std::uint64_t dest_index = view.dest_index(dst);
-
-  // First hop: host to its edge switch (same fate order as walk_packet:
-  // liveness, then the gray verdict).
-  const Topology::Neighbor ingress = topo.host_uplink(src);
-  if (!ecmp::link_live(actual, ingress.link, health, at_time_ms)) {
-    return fail(FlowFate::kBlackholed);
-  }
-  if (ecmp::gray_drops(actual, ingress.link, src, dst, health, health_seed)) {
-    return fail(FlowFate::kBlackholed);
-  }
-  SwitchId at = topo.switch_of(ingress.node);
-  walk.visit(ingress.node);
-  walk.hops = 1;
-
-  while (walk.hops < options_.ttl) {
-    if (at == dest_edge) {
-      // Final hop: edge switch to host.
-      const Topology::Neighbor downlink = topo.host_uplink(dst);
-      if (!ecmp::link_live(actual, downlink.link, health, at_time_ms) ||
-          ecmp::gray_drops(actual, downlink.link, src, dst, health,
-                           health_seed)) {
-        return fail(FlowFate::kBlackholed);
-      }
-      walk.visit(topo.node_of(dst));
-      ++walk.hops;
-      return fail(FlowFate::kDelivered);
-    }
-
-    const std::span<const Topology::Neighbor> row = view.row(at, dest_index);
-    if (row.empty()) return fail(FlowFate::kNoRoute);
-
-    const Topology::Neighbor* chosen = nullptr;
-    switch (options_.policy) {
-      case NextHopPolicy::kSeededHash: {
-        // The packet walker's exact pick: hash over the full offered row,
-        // then rotate to the first live hop (a switch sees its own dead
-        // ports; gray links look live here — their loss is silent).
-        const std::uint64_t key = ecmp::flow_key(seed, src, dst, at);
-        const std::size_t first_choice = key % row.size();
-        for (std::size_t off = 0; off < row.size(); ++off) {
-          const Topology::Neighbor& cand =
-              row[(first_choice + off) % row.size()];
-          if (ecmp::link_live(actual, cand.link, health, at_time_ms)) {
-            chosen = &cand;
-            break;
-          }
-        }
-        break;
-      }
-      case NextHopPolicy::kLowest: {
-        // Lowest live link id: no hash involved, so the pick is the same
-        // under every seed.
-        for (const Topology::Neighbor& cand : row) {
-          if (!ecmp::link_live(actual, cand.link, health, at_time_ms)) {
-            continue;
-          }
-          if (chosen == nullptr ||
-              cand.link.value() < chosen->link.value()) {
-            chosen = &cand;
-          }
-        }
-        break;
-      }
-      case NextHopPolicy::kWeighted: {
-        // Hash-weighted over live hops only; weight = candidate's physical
-        // degree, so fatter subtrees attract proportionally more flows.
-        std::uint64_t total_weight = 0;
-        for (const Topology::Neighbor& cand : row) {
-          if (ecmp::link_live(actual, cand.link, health, at_time_ms)) {
-            total_weight += node_weight_[cand.node.value()];
-          }
-        }
-        if (total_weight > 0) {
-          const std::uint64_t key = ecmp::flow_key(seed, src, dst, at);
-          std::uint64_t r = key % total_weight;
-          for (const Topology::Neighbor& cand : row) {
-            if (!ecmp::link_live(actual, cand.link, health, at_time_ms)) {
-              continue;
-            }
-            const std::uint64_t w = node_weight_[cand.node.value()];
-            if (r < w) {
-              chosen = &cand;
-              break;
-            }
-            r -= w;
-          }
-        }
-        break;
-      }
-    }
-    if (chosen == nullptr) return fail(FlowFate::kBlackholed);
-    if (ecmp::gray_drops(actual, chosen->link, src, dst, health,
-                         health_seed)) {
-      return fail(FlowFate::kBlackholed);
-    }
-
-    walk.visit(chosen->node);
-    ++walk.hops;
-    if (!topo.is_switch_node(chosen->node)) {
-      // Host-granularity tables can hand us the host link directly.
-      ASPEN_CHECK(chosen->node == topo.node_of(dst),
-                  "flow plane forwarded into a host that is not the "
-                  "destination");
-      return fail(FlowFate::kDelivered);
-    }
-    at = topo.switch_of(chosen->node);
-  }
-
-  return fail(FlowFate::kLooped);
+  attempt.outcome = fate_of(stop.status);
+  attempt.path_hash = path_hash;
+  attempt.hops = static_cast<std::uint16_t>(stop.hops);
+  return attempt;
 }
 
 FlowStepStats FlowPlane::step(const RoutingState& knowledge,

@@ -6,8 +6,9 @@
 // realistic load far below the north star.  The FlowPlane keeps every
 // admitted flow in flat struct-of-arrays state (no node-based containers —
 // see the hot-path-nested-container lint rule) and re-walks all still
-// inflight flows per epoch over the arena forwarding tables via
-// ecmp::EcmpReadView, with zero allocations on the per-flow path.
+// inflight flows per epoch through the shared hop-loop kernel
+// (ecmp::walk), reading rows through ecmp::EcmpReadView and folding each
+// path into a hash, with zero allocations on the per-flow path.
 //
 // Loss accounting is integer and exact by construction: a flow is admitted
 // once, attempts delivery every epoch, and ends as exactly one of
@@ -174,9 +175,9 @@ class FlowPlane {
   };
 
   /// Serially re-walks flow `i` against `view`/`actual` with the same
-  /// decisions step() makes, optionally materializing the node path into
-  /// `path_out` (cleared first).  The differential test compares this —
-  /// and therefore step() — node-for-node against walk_packet.
+  /// decisions step() makes (step() calls it per flow), optionally
+  /// materializing the node path into `path_out` (cleared first).  The
+  /// differential test compares it node-for-node against walk_packet.
   [[nodiscard]] Attempt walk_one(std::uint64_t i,
                                  const ecmp::EcmpReadView& view,
                                  const LinkStateOverlay& actual,

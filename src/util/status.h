@@ -66,4 +66,9 @@ template <typename Err, typename... Parts>
     }                                                                    \
   } while (false)
 
+/// True for a probability: within [0, 1], so NaN and infinities fail.
+[[nodiscard]] inline bool is_probability(double p) {
+  return p >= 0.0 && p <= 1.0;
+}
+
 }  // namespace aspen

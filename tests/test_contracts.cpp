@@ -214,7 +214,7 @@ struct RoutingFixture {
 
   [[nodiscard]] RoutingTables::Entry& entry_at(SwitchId s,
                                                std::uint64_t dest) {
-    return state.tables.entry_at(s.value(), dest);
+    return state.tables.row(s.value(), dest);
   }
 };
 
@@ -234,6 +234,12 @@ TEST(RoutingAudit, TableShapeFires) {
   RoutingFixture fx2;
   fx2.state.hosts_per_edge += 1;
   EXPECT_TRUE(routing::audit_tables(fx2.topo, fx2.state, fx2.overlay)
+                  .has(AuditCode::kTableShape));
+
+  // Edge-keyed rows labeled per-host: too few destinations per switch.
+  RoutingFixture fx3;
+  fx3.state.granularity = DestGranularity::kHost;
+  EXPECT_TRUE(routing::audit_tables(fx3.topo, fx3.state, fx3.overlay)
                   .has(AuditCode::kTableShape));
 }
 
@@ -446,7 +452,7 @@ TEST(ProtoAudit, AnpAnnouncedLostMismatchFires) {
   AnpSimulation sim(topo);
   const SwitchId edge = topo.switch_at(1, 0);
   const std::uint64_t far_dest = topo.params().S - 1;
-  ASSERT_TRUE(sim.tables().table(edge).entry(far_dest).reachable());
+  ASSERT_TRUE(sim.tables().tables.row(edge.value(), far_dest).reachable());
   proto::AnpAuditPeer::set_announced_lost(sim, edge, far_dest, true);
   EXPECT_TRUE(
       proto::audit_anp(sim).has(AuditCode::kAnnouncedLostMismatch));

@@ -141,6 +141,37 @@ TEST(FlowPlaneDifferential, MatchesPacketWalkerAcrossGrayLink) {
                             /*apply_health=*/true, 77, "gray link");
 }
 
+TEST(FlowPlaneDifferential, MatchesPacketWalkerOnHostGranularityTables) {
+  // Per-host rows: the destination's edge switch holds the host link, and
+  // a failed host uplink empties the rows toward that host everywhere.
+  const Topology topo = fig3_topology("<0,2,0>");
+  FlowPlaneOptions options;
+  options.base_seed = 13;
+  FlowPlane plane(topo, options);
+  plane.admit_uniform(160);
+  const HostId victim = plane.flow(0).dst;
+  std::vector<Flow> toward_victim;
+  for (std::uint32_t s = 0; s < topo.num_hosts(); s += 7) {
+    if (HostId{s} != victim) toward_victim.push_back(Flow{HostId{s}, victim});
+  }
+  plane.admit(toward_victim);
+
+  const LinkStateOverlay intact(topo);
+  expect_differential_match(
+      topo, plane,
+      compute_updown_routes(topo, intact, DestGranularity::kHost), intact,
+      /*apply_health=*/false, 0, "host granularity, intact");
+
+  LinkStateOverlay failed(topo);
+  failed.fail(topo.host_uplink(victim).link);
+  failed.fail(topo.links_at_level(2).front());
+  expect_differential_match(
+      topo, plane,
+      compute_updown_routes(topo, failed, DestGranularity::kHost), failed,
+      /*apply_health=*/false, 0,
+      "host granularity, failed host uplink + L2 link");
+}
+
 // ---- thread invariance --------------------------------------------------
 
 TEST(FlowPlaneDeterminism, ByteIdenticalFatesAcrossThreadCounts) {
@@ -208,11 +239,11 @@ TEST(FlowPlaneLoops, HandMadeLoopTripsTtlAndFateIsLooped) {
   const SwitchId agg = topo.switch_of(up.node);
   const std::uint64_t d = state.dest_index(dst);
 
-  RoutingTables::Entry& edge_row = state.tables.entry_at(edge.value(), d);
+  RoutingTables::Entry& edge_row = state.tables.row(edge.value(), d);
   const Topology::Neighbor up_hop{up.node, up.link};
   state.tables.assign_hops(edge_row, std::span<const Topology::Neighbor>(
                                          &up_hop, 1));
-  RoutingTables::Entry& agg_row = state.tables.entry_at(agg.value(), d);
+  RoutingTables::Entry& agg_row = state.tables.row(agg.value(), d);
   const Topology::Neighbor down_hop{topo.node_of(edge), up.link};
   state.tables.assign_hops(agg_row, std::span<const Topology::Neighbor>(
                                         &down_hop, 1));

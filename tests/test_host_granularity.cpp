@@ -29,16 +29,16 @@ TEST(HostGranularity, TableSizesAndCosts) {
 
   // The destination's edge switch holds the host link at cost 1.
   const SwitchId edge = topo.edge_switch_of(HostId{0});
-  const auto hops = routes.table(edge).next_hops(0);
-  EXPECT_EQ(routes.table(edge).entry(0).cost, 1);
+  const auto hops = routes.tables.hops(routes.tables.row(edge.value(), 0));
+  EXPECT_EQ(routes.tables.row(edge.value(), 0).cost, 1);
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].link, topo.host_uplink(HostId{0}).link);
 
   // Everyone else pays one hop more than the edge-granularity cost.
   const RoutingState edge_routes = compute_updown_routes(topo);
   const SwitchId core = topo.switch_at(3, 0);
-  EXPECT_EQ(routes.table(core).entry(0).cost,
-            edge_routes.table(core).entry(0).cost + 1);
+  EXPECT_EQ(routes.tables.row(core.value(), 0).cost,
+            edge_routes.tables.row(core.value(), 0).cost + 1);
 }
 
 TEST(HostGranularity, DeliversAllPairs) {
@@ -69,11 +69,11 @@ TEST(HostGranularity, HostLinkFailureIsRoutingVisible) {
       compute_updown_routes(topo, degraded, DestGranularity::kHost);
   // Nobody can reach host 0 — including its own edge switch…
   for (std::uint32_t v = 0; v < topo.num_switches(); ++v) {
-    EXPECT_FALSE(routes.tables[v].entry(0).reachable()) << v;
+    EXPECT_FALSE(routes.tables.row(v, 0).reachable()) << v;
   }
   // …while its edge-mates stay reachable everywhere.
   const SwitchId core = topo.switch_at(3, 0);
-  EXPECT_TRUE(routes.table(core).entry(1).reachable());
+  EXPECT_TRUE(routes.tables.row(core.value(), 1).reachable());
 }
 
 TEST(HostGranularity, AnpHostLinkNotificationsClimbToRoots) {

@@ -151,8 +151,8 @@ TEST(Import, Figure6cDisconnectedStripingIsCaught) {
   for (std::uint64_t c = 0; c < params.switches_at_level(3); ++c) {
     const SwitchId core = rigged.switch_at(3, c);
     for (std::uint64_t e = 0; e < params.S; ++e) {
-      if (!routes.table(core).entry(e).reachable() &&
-          routes.table(core).entry(e).cost != 0) {
+      if (!routes.tables.row(core.value(), e).reachable() &&
+          routes.tables.row(core.value(), e).cost != 0) {
         some_core_misses_a_pod = true;
       }
     }

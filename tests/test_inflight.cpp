@@ -158,6 +158,42 @@ TEST(Inflight, RecoveryTransitionNeverDropsPackets) {
   }
 }
 
+/// With no switch flipping, the in-flight walker must retrace the packet
+/// walker exactly: same status, node path, hop count, drop site and
+/// health verdict — and a repeated walk must agree with itself.
+void expect_walkers_agree(const Topology& topo, const RoutingState& tables,
+                          const LinkStateOverlay& actual,
+                          const std::vector<Flow>& flows,
+                          const WalkOptions& options, const char* context) {
+  FailureReport no_flips;
+  no_flips.table_change_completed.assign(topo.num_switches(),
+                                         FailureReport::kNoChange);
+  const TableRouter router(tables);
+  for (const Flow& flow : flows) {
+    const WalkResult inflight = walk_during_convergence(
+        topo, tables, tables, no_flips, actual, flow.src, flow.dst, 0.0,
+        options);
+    const WalkResult again = walk_during_convergence(
+        topo, tables, tables, no_flips, actual, flow.src, flow.dst, 0.0,
+        options);
+    const WalkResult plain =
+        walk_packet(topo, router, actual, flow.src, flow.dst, options);
+    const auto where = [&] {
+      return ::testing::Message()
+             << context << " flow " << flow.src.value() << "->"
+             << flow.dst.value() << " aware "
+             << options.local_link_awareness;
+    };
+    ASSERT_EQ(inflight.status, again.status) << where();
+    ASSERT_EQ(inflight.path, again.path) << where();
+    ASSERT_EQ(inflight.status, plain.status) << where();
+    ASSERT_EQ(inflight.path, plain.path) << where();
+    ASSERT_EQ(inflight.hops, plain.hops) << where();
+    ASSERT_EQ(inflight.dropped_at, plain.dropped_at) << where();
+    ASSERT_EQ(inflight.health_loss, plain.health_loss) << where();
+  }
+}
+
 TEST(Inflight, GrayWalkDeterministicAndConsistentWithPacketWalk) {
   // The in-flight walker and the plain packet walker key their gray-drop
   // hash identically, so the same pinned seed gives the same fate.
@@ -165,24 +201,52 @@ TEST(Inflight, GrayWalkDeterministicAndConsistentWithPacketWalk) {
   AnpSimulation anp(topo);
   LinkStateOverlay actual(topo);
   actual.set_gray(topo.host_uplink(HostId{5}).link, 0.5);
-  FailureReport empty_report;
-  empty_report.table_change_completed.assign(topo.num_switches(),
-                                             FailureReport::kNoChange);
-  const TableRouter router(anp.tables());
+  std::vector<Flow> to_five;
+  for (std::uint32_t s = 0; s < topo.num_hosts(); ++s) {
+    if (s != 5) to_five.push_back(Flow{HostId{s}, HostId{5}});
+  }
   WalkOptions options;
   options.health_seed = 7;
-  for (std::uint32_t s = 0; s < topo.num_hosts(); ++s) {
-    if (s == 5) continue;
-    const WalkResult inflight = walk_during_convergence(
-        topo, anp.tables(), anp.tables(), empty_report, actual, HostId{s},
-        HostId{5}, 0.0, options);
-    const WalkResult again = walk_during_convergence(
-        topo, anp.tables(), anp.tables(), empty_report, actual, HostId{s},
-        HostId{5}, 0.0, options);
-    const WalkResult plain =
-        walk_packet(topo, router, actual, HostId{s}, HostId{5}, options);
-    EXPECT_EQ(inflight.delivered(), again.delivered());
-    EXPECT_EQ(inflight.delivered(), plain.delivered());
+  expect_walkers_agree(topo, anp.tables(), actual, to_five, options,
+                       "fat tree, gray host link");
+}
+
+TEST(Inflight, NoFlipWalkRetracesPacketWalkOnFig3Tree) {
+  const Topology topo =
+      Topology::build(generate_tree(4, 6, FaultToleranceVector{0, 2, 0}));
+  const RoutingState tables = compute_updown_routes(topo);
+  Rng rng(17);
+  std::vector<Flow> flows;
+  for (int i = 0; i < 48; ++i) {
+    const auto s = static_cast<std::uint32_t>(rng.index(topo.num_hosts()));
+    auto d = static_cast<std::uint32_t>(rng.index(topo.num_hosts() - 1));
+    if (d >= s) ++d;
+    flows.push_back(Flow{HostId{s}, HostId{d}});
+  }
+
+  for (const bool aware : {true, false}) {
+    WalkOptions options;
+    options.local_link_awareness = aware;
+    options.flow_seed = 3;
+    expect_walkers_agree(topo, tables, LinkStateOverlay(topo), flows,
+                         options, "intact");
+    // Stale tables over each single-link failure.
+    for (std::uint64_t l = 0; l < topo.num_links(); ++l) {
+      LinkStateOverlay failed(topo);
+      failed.fail(LinkId{static_cast<std::uint32_t>(l)});
+      expect_walkers_agree(topo, tables, failed, flows, options,
+                           "single-link failure");
+    }
+    // Gray links at every level, host links included.
+    LinkStateOverlay gray(topo);
+    for (Level level = 1; level <= topo.levels(); ++level) {
+      const auto links = topo.links_at_level(level);
+      for (std::size_t j = 0; j < links.size(); j += 3) {
+        gray.set_gray(links[j], 0.4);
+      }
+    }
+    options.health_seed = 29;
+    expect_walkers_agree(topo, tables, gray, flows, options, "gray links");
   }
 }
 

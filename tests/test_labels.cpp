@@ -121,8 +121,11 @@ TEST(Labels, LabelRouterMatchesStructuralRouter) {
           topo.edge_switch_of(dst) == s) {
         continue;  // structural router refuses the destination edge
       }
-      auto a = labels.next_hops(s, dst);
-      auto b = structural.next_hops(s, dst);
+      std::vector<Topology::Neighbor> scratch;
+      const auto a_row = labels.next_hops(s, dst, scratch);
+      std::vector<Topology::Neighbor> a(a_row.begin(), a_row.end());
+      const auto b_row = structural.next_hops(s, dst, scratch);
+      std::vector<Topology::Neighbor> b(b_row.begin(), b_row.end());
       const auto key = [](const Topology::Neighbor& nb) {
         return nb.link.value();
       };

@@ -29,13 +29,13 @@ TEST(MiscCoverage, ForwardingTableReachableCount) {
   const Topology topo = Topology::build(fat_tree(3, 4));
   const RoutingState routes = compute_updown_routes(topo);
   const SwitchId core = topo.switch_at(3, 0);
-  EXPECT_EQ(routes.table(core).reachable_count(), topo.params().S);
+  EXPECT_EQ(routes.tables.reachable_count(core.value()), topo.params().S);
 
   LinkStateOverlay overlay(topo);
   const SwitchId edge0 = topo.switch_at(1, 0);
   for (const auto& nb : topo.up_neighbors(edge0)) overlay.fail(nb.link);
   const RoutingState degraded = compute_updown_routes(topo, overlay);
-  EXPECT_EQ(degraded.table(core).reachable_count(), topo.params().S - 1);
+  EXPECT_EQ(degraded.tables.reachable_count(core.value()), topo.params().S - 1);
 }
 
 TEST(MiscCoverage, DescribeStringsAreInformative) {
@@ -113,7 +113,7 @@ TEST(MiscCoverage, ParanoidThreadedRecomputeMatchesFresh) {
     const RoutingState fresh =
         compute_updown_routes(topo, overlay, DestGranularity::kEdge);
     for (std::size_t s = 0; s < fresh.tables.size(); ++s) {
-      ASSERT_TRUE(fresh.tables[s] == state.tables[s])
+      ASSERT_TRUE(RoutingTables::switch_equal(fresh.tables, state.tables, s))
           << "threads=" << threads << " sw " << s;
     }
     overlay.recover(link);

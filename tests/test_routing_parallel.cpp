@@ -183,7 +183,7 @@ TEST(RoutingAudit, AuditIncrementalFlagsCorruptedEntry) {
   RoutingState state = compute_updown_routes(topo, overlay);
   // Corrupt one entry's cost without touching its digest: both the row
   // divergence and (digest now stale) must surface as drift.
-  state.table(topo.switch_at(2, 0)).entry(3).cost += 1;
+  state.tables.row(topo.switch_at(2, 0).value(), 3).cost += 1;
   const AuditReport report =
       routing::audit_incremental(topo, overlay, state);
   EXPECT_TRUE(report.has(AuditCode::kIncrementalDrift)) << report.to_string();
@@ -211,7 +211,7 @@ TEST(RoutingDigests, ShortCircuitAgreesWithDeepCompare) {
 
   std::uint64_t deep = 0;
   for (std::size_t s = 0; s < before.tables.size(); ++s) {
-    if (!(before.tables[s] == after.tables[s])) ++deep;
+    if (!RoutingTables::switch_equal(before.tables, after.tables, s)) ++deep;
   }
   EXPECT_GT(deep, 0u);
   EXPECT_EQ(switches_with_changed_tables(before, after), deep);

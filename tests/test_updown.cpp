@@ -15,14 +15,14 @@ TEST(Updown, IntactFatTreeCosts) {
   // At an edge switch: own dest costs 0; same-pod edge costs 2 (up, down);
   // remote edge costs 4.
   const SwitchId edge0 = topo.switch_at(1, 0);
-  EXPECT_EQ(routes.table(edge0).entry(0).cost, 0);
-  EXPECT_EQ(routes.table(edge0).entry(1).cost, 2);  // sibling in pod 0
-  EXPECT_EQ(routes.table(edge0).entry(7).cost, 4);  // farthest pod
+  EXPECT_EQ(routes.tables.row(edge0.value(), 0).cost, 0);
+  EXPECT_EQ(routes.tables.row(edge0.value(), 1).cost, 2);  // sibling in pod 0
+  EXPECT_EQ(routes.tables.row(edge0.value(), 7).cost, 4);  // farthest pod
 
   // At a core: every edge costs 2 (straight down).
   const SwitchId core = topo.switch_at(3, 0);
   for (std::uint64_t e = 0; e < topo.params().S; ++e) {
-    EXPECT_EQ(routes.table(core).entry(e).cost, 2);
+    EXPECT_EQ(routes.tables.row(core.value(), e).cost, 2);
   }
 }
 
@@ -31,12 +31,12 @@ TEST(Updown, EcmpSetSizes) {
   const RoutingState routes = compute_updown_routes(topo);
   const SwitchId edge0 = topo.switch_at(1, 0);
   // Climbing anywhere: both uplinks are equal-cost options.
-  EXPECT_EQ(routes.table(edge0).next_hops(7).size(), 2u);
+  EXPECT_EQ(routes.tables.hops(routes.tables.row(edge0.value(), 7)).size(), 2u);
   // An agg descending to an edge in its pod: single link.
   const SwitchId agg = topo.switch_at(2, 0);
-  EXPECT_EQ(routes.table(agg).next_hops(0).size(), 1u);
+  EXPECT_EQ(routes.tables.hops(routes.tables.row(agg.value(), 0)).size(), 1u);
   // An agg climbing to a remote pod: both its core uplinks.
-  EXPECT_EQ(routes.table(agg).next_hops(7).size(), 2u);
+  EXPECT_EQ(routes.tables.hops(routes.tables.row(agg.value(), 7)).size(), 2u);
 }
 
 TEST(Updown, EveryDestinationReachableInIntactTree) {
@@ -48,9 +48,8 @@ TEST(Updown, EveryDestinationReachableInIntactTree) {
     const RoutingState routes = compute_updown_routes(topo);
     SCOPED_TRACE(topo.describe());
     for (std::uint32_t v = 0; v < topo.num_switches(); ++v) {
-      const RoutingTables::TableView table = routes.tables[v];
-      for (std::uint64_t e = 0; e < table.size(); ++e) {
-        const auto& entry = table.entry(e);
+      for (std::uint64_t e = 0; e < routes.num_dests(); ++e) {
+        const auto& entry = routes.tables.row(v, e);
         EXPECT_TRUE(entry.reachable() || entry.cost == 0)
             << to_string(SwitchId{v}) << " → edge " << e;
       }
@@ -65,10 +64,10 @@ TEST(Updown, CostsDecreaseAlongNextHops) {
   const RoutingState routes = compute_updown_routes(topo);
   for (std::uint32_t v = 0; v < topo.num_switches(); ++v) {
     for (std::uint64_t e = 0; e < topo.params().S; ++e) {
-      const auto& entry = routes.tables[v].entry(e);
-      for (const auto& nb : routes.tables[v].next_hops(e)) {
+      const auto& entry = routes.tables.row(v, e);
+      for (const auto& nb : routes.tables.hops(routes.tables.row(v, e))) {
         const auto& next_entry =
-            routes.table(topo.switch_of(nb.node)).entry(e);
+            routes.tables.row(topo.switch_of(nb.node).value(), e);
         ASSERT_TRUE(next_entry.cost == 0 || next_entry.reachable());
         EXPECT_EQ(next_entry.cost, entry.cost - 1);
       }
@@ -92,16 +91,16 @@ TEST(Updown, FailureRemovesOnlyAffectedRoutes) {
   // cores' only descent to edge 0 ran through the failed link, and a valid
   // path may never come back up.  (This is exactly why the failure "dooms"
   // packets in §2 — there is no legal detour from inside the dead region.)
-  EXPECT_FALSE(routes.table(agg).entry(0).reachable());
+  EXPECT_FALSE(routes.tables.row(agg.value(), 0).reachable());
   // Cores attached to the *other* pod member (odd indices under standard
   // striping) still reach edge 0.
   const SwitchId core1 = topo.switch_at(3, 1);
-  EXPECT_EQ(routes.table(core1).entry(0).cost, 2);
+  EXPECT_EQ(routes.tables.row(core1.value(), 0).cost, 2);
   // The pod sibling still reaches edge 0 directly.
   const SwitchId sibling = topo.switch_at(2, 1);
-  EXPECT_EQ(routes.table(sibling).entry(0).cost, 1);
+  EXPECT_EQ(routes.tables.row(sibling.value(), 0).cost, 1);
   // Remote destinations unaffected at agg.
-  EXPECT_EQ(routes.table(agg).entry(7).cost, 3);
+  EXPECT_EQ(routes.tables.row(agg.value(), 7).cost, 3);
 }
 
 TEST(Updown, DisconnectionYieldsUnreachableEntries) {
@@ -114,10 +113,10 @@ TEST(Updown, DisconnectionYieldsUnreachableEntries) {
 
   const RoutingState routes = compute_updown_routes(topo, overlay);
   const SwitchId core = topo.switch_at(3, 0);
-  EXPECT_FALSE(routes.table(core).entry(0).reachable());
-  EXPECT_EQ(routes.table(core).entry(0).cost,
+  EXPECT_FALSE(routes.tables.row(core.value(), 0).reachable());
+  EXPECT_EQ(routes.tables.row(core.value(), 0).cost,
             RoutingTables::kUnreachable);
-  EXPECT_FALSE(routes.table(edge0).entry(5).reachable());
+  EXPECT_FALSE(routes.tables.row(edge0.value(), 5).reachable());
 }
 
 TEST(Updown, ChangedTableCountForCoreFailure) {
@@ -138,11 +137,13 @@ TEST(Updown, ChangedTableCountForCoreFailure) {
   // ECMP sets toward pod 0; edges keep their (agg-level) choices.
   EXPECT_GE(changed, 2u);
   EXPECT_LT(changed, topo.num_switches());
-  EXPECT_FALSE(before.tables[core.value()] == after.tables[core.value()]);
-  EXPECT_FALSE(before.tables[agg.value()] == after.tables[agg.value()]);
+  EXPECT_FALSE(
+      RoutingTables::switch_equal(before.tables, after.tables, core.value()));
+  EXPECT_FALSE(
+      RoutingTables::switch_equal(before.tables, after.tables, agg.value()));
   // Edge switches in remote pods are untouched.
-  EXPECT_TRUE(before.tables[topo.switch_at(1, 7).value()] ==
-              after.tables[topo.switch_at(1, 7).value()]);
+  EXPECT_TRUE(RoutingTables::switch_equal(before.tables, after.tables,
+                                          topo.switch_at(1, 7).value()));
 }
 
 TEST(Updown, ChangedTablesRequiresSameShape) {
@@ -162,7 +163,7 @@ TEST(Updown, AspenRedundancyWidensDownEcmp) {
   const SwitchId l3 = topo.switch_at(3, 0);
   bool found_double = false;
   for (std::uint64_t e = 0; e < topo.params().S; ++e) {
-    const auto& entry = routes.table(l3).entry(e);
+    const auto& entry = routes.tables.row(l3.value(), e);
     if (entry.cost == 2 && entry.hop_count == 2) found_double = true;
   }
   EXPECT_TRUE(found_double);
