@@ -217,6 +217,9 @@ struct ChaosCampaign::Impl {
   // unquiesced run still has detections queued.
   void run_audits(bool unwound) {
     if (!paranoid) return;
+    // Audits observe and never emit: their fresh and truth-cache
+    // computations would otherwise add routing records to the trace.
+    const obs::PauseObs quiet;
     const Topology& topo = *topo_;
     AuditReport report;
     // Health-eaten notifications (gray links under an unreliable channel)

@@ -140,8 +140,6 @@ void LspAuditPeer::set_alive(LspSimulation& sim, SwitchId s, bool alive) {
   sim.alive_[s.value()] = alive ? 1 : 0;
 }
 
-RoutingState& LspAuditPeer::tables(LspSimulation& sim) { return sim.tables_; }
-
 LinkStateOverlay& LspAuditPeer::overlay(LspSimulation& sim) {
   return sim.overlay_;
 }

@@ -89,7 +89,6 @@ struct AnpAuditPeer {
 struct LspAuditPeer {
   static void add_crash_custody(LspSimulation& sim, SwitchId s, LinkId link);
   static void set_alive(LspSimulation& sim, SwitchId s, bool alive);
-  static RoutingState& tables(LspSimulation& sim);
   static LinkStateOverlay& overlay(LspSimulation& sim);
 };
 

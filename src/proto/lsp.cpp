@@ -132,6 +132,7 @@ LspSimulation::LspSimulation(const Topology& topo, DelayModel delays,
   tables_ = compute_updown_routes(topo, overlay_, granularity_);
   converged_ = tables_;
   converged_synced_ = true;
+  in_sync_.assign(topo.num_switches(), 1);
   alive_.assign(topo.num_switches(), 1);
 }
 
@@ -178,9 +179,12 @@ FailureReport LspSimulation::simulate_timed_events(
   bool has_switch_event = false;
   const bool was_fully_alive =
       std::ranges::all_of(alive_, [](char a) { return a != 0; });
-  RoutingState after;
   std::vector<char> changes(topo.num_switches(), 0);
   std::vector<LinkId> changed_links;
+  // Destinations whose rows the engine rewrote for every switch, and the
+  // switches whose diff and flip may stop at those rows (see below).
+  std::vector<std::uint64_t> rewritten;
+  std::vector<char> narrow;
   {
     LinkStateOverlay future = overlay_;
     std::vector<char> future_alive = alive_;
@@ -218,31 +222,59 @@ FailureReport LspSimulation::simulate_timed_events(
         records.push_back(std::move(rec));
       }
     }
-    // Exact set of switches whose converged tables differ across the run.
-    // A switch dead at the end keeps its stale tables (it flips in a later
-    // run, once revived — the diff is always against current tables_).
+    // Exact set of switches whose current tables differ from the post-run
+    // routes.  A switch dead at the end keeps its stale tables (it flips in
+    // a later run, once revived — the diff is always against tables_).
     //
-    // The post-run routes derive incrementally from the maintained
-    // converged ground truth (only rows the flipped links can affect are
+    // The post-run routes are the maintained converged ground truth,
+    // patched in place (only rows the flipped links can affect are
     // recomputed); a previous incomplete bounded run invalidates that
     // cache, forcing a fresh full compute here.
     if (!converged_synced_) {
       converged_ = compute_updown_routes(topo, overlay_, granularity_);
       converged_synced_ = true;
+      std::ranges::fill(in_sync_, 0);
     }
-    after = converged_;
-    recompute_updown_routes(topo, future, after, changed_links);
-    const bool digest_cmp = tables_.has_digests() && after.has_digests();
+    const RecomputeStats patch =
+        recompute_updown_routes(topo, future, converged_, changed_links);
+    for (std::uint64_t d = 0; d < patch.rewritten_dests.size(); ++d) {
+      if (patch.rewritten_dests[d]) rewritten.push_back(d);
+    }
+    // The engine wrote only the rewritten rows and the patched switches'
+    // rows.  So an in-sync switch outside the patched set can differ from
+    // the new converged_ only in rewritten rows, and comparing (or
+    // copying) just those is exact.  Every other switch gets the full
+    // per-switch compare.
+    narrow = in_sync_;
+    for (const SwitchId v : patch.patched) narrow[v.value()] = 0;
+    const bool digest_cmp = tables_.has_digests() && converged_.has_digests();
     for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
       if (!future_alive[s]) continue;
       // Unequal digests prove the tables differ; equal digests are
-      // confirmed with the deep compare, keeping the diff exact.
-      if (digest_cmp && tables_.digests[s] != after.digests[s]) {
+      // confirmed row by row, keeping the diff exact.
+      if (digest_cmp && tables_.digests[s] != converged_.digests[s]) {
         changes[s] = 1;
-      } else if (!RoutingTables::switch_equal(tables_.tables, after.tables,
-                                               s)) {
+      } else if (!narrow[s] && !RoutingTables::switch_equal(
+                                   tables_.tables, converged_.tables, s)) {
         changes[s] = 1;
       }
+    }
+    // Destination-major, so each pass streams one contiguous row.
+    for (const std::uint64_t d : rewritten) {
+      for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
+        if (!future_alive[s] || !narrow[s] || changes[s]) continue;
+        if (!RoutingTables::rows_equal(tables_.tables, tables_.tables.row(s, d),
+                                       converged_.tables,
+                                       converged_.tables.row(s, d))) {
+          changes[s] = 1;
+        }
+      }
+    }
+    // From here on in_sync_ describes the new converged_: an unchanged
+    // switch already matches it, a changed one matches once it flips, and
+    // a switch dead at the end was not diffed.
+    for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
+      in_sync_[s] = future_alive[s] != 0 && changes[s] == 0 ? 1 : 0;
     }
   }
   // In the paper's regime — perfect channel, healthy links, no crashes —
@@ -429,10 +461,20 @@ FailureReport LspSimulation::simulate_timed_events(
     if (table_change_time[s] >= 0.0) {
       ASPEN_ASSERT(records_heard[s] == required,
                    "switch flipped tables before hearing every record");
-      tables_.tables.copy_switch(after.tables, s);
-      if (tables_.has_digests() && after.has_digests()) {
-        tables_.digests[s] = after.digests[s];
+      if (narrow[s]) {
+        for (const std::uint64_t d : rewritten) {
+          RoutingTables::Entry& to = tables_.tables.row(s, d);
+          const RoutingTables::Entry& from = converged_.tables.row(s, d);
+          to.cost = from.cost;
+          tables_.tables.assign_hops(to, converged_.tables.hops(from));
+        }
+      } else {
+        tables_.tables.copy_switch(converged_.tables, s);
       }
+      if (tables_.has_digests() && converged_.has_digests()) {
+        tables_.digests[s] = converged_.digests[s];
+      }
+      in_sync_[s] = 1;
       report.table_change_completed[s] = table_change_time[s];
       ++report.switches_reacted;
       report.convergence_time_ms =
@@ -449,11 +491,9 @@ FailureReport LspSimulation::simulate_timed_events(
       obs::count("lsp.stale_switches");
     }
   }
-  // The preview's post-run routes become the next run's incremental base.
-  // An incomplete bounded run can leave scheduled fault applications
-  // unexecuted (overlay_ then lags the previewed future), so only a
-  // completed run keeps the cache valid.
-  converged_ = std::move(after);
+  // converged_ is the next run's incremental base.  An incomplete bounded
+  // run can leave scheduled fault applications unexecuted (overlay_ then
+  // lags the previewed future), so only a completed run keeps it valid.
   converged_synced_ = run.completed;
   const ChannelStats& ch = channel.stats();
   report.channel_dropped = ch.dropped;

@@ -10,11 +10,15 @@
 //
 // Forwarding tables are the global up*/down* shortest-path routes for the
 // switch's current view.  Which switches' tables change at all is decided
-// exactly, by diffing converged pre- and post-run routing states; a switch's
-// table flips to the post-run routes once it has processed a new LSA for
-// *every* fault event in the run (for a single link event — the paper's
-// experiment — that is simply its first new LSA, which is when we timestamp
-// its reaction).
+// exactly, by diffing every switch's current table against the post-run
+// converged routes, which the incremental engine patches in place.  The
+// engine reports the rows it may have rewritten, so a switch whose table is
+// known to equal the pre-run converged routes is compared (and flipped) on
+// those rows alone; any other switch gets the full per-switch compare.  A
+// switch's table flips to the post-run routes once it has processed a new
+// LSA for *every* fault event in the run (for a single link event — the
+// paper's experiment — that is simply its first new LSA, which is when we
+// timestamp its reaction).
 //
 // ## Unreliable control plane
 //
@@ -95,14 +99,17 @@ class LspSimulation final : public ProtocolSimulation {
   DestGranularity granularity_;
   LinkStateOverlay overlay_;
   RoutingState tables_;
-  /// Ground-truth converged routes for overlay_, maintained incrementally
-  /// across runs.  Distinct from tables_, which can hold stale rows
-  /// (missed LSAs, crashed switches) and so is not a valid incremental
-  /// base.  Valid only while converged_synced_; an incomplete bounded run
-  /// may leave scheduled fault applications unexecuted, in which case the
-  /// next run starts from a fresh full compute.
+  /// Ground-truth converged routes for overlay_, patched in place by each
+  /// run.  Distinct from tables_, which can hold stale rows (missed LSAs,
+  /// crashed switches) and so is not a valid incremental base.  Valid only
+  /// while converged_synced_; an incomplete bounded run may leave
+  /// scheduled fault applications unexecuted, in which case the next run
+  /// starts from a fresh full compute.
   RoutingState converged_;
   bool converged_synced_ = false;
+  /// Per switch, 1 where tables_' rows equal converged_'s: the switches
+  /// whose diff and flip may stop at the rows a run's patch rewrote.
+  std::vector<char> in_sync_;
   std::vector<char> alive_;  // per switch; 0 while crashed
   /// Links a crash took down, owed back on that switch's recovery.
   std::map<std::uint32_t, std::vector<LinkId>> crash_links_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -435,8 +436,11 @@ RecomputeStats recompute_updown_routes(const Topology& topo,
   // ---- Row recompute / patch fan-out ----
   //
   // Each destination is handled end-to-end by one worker, so every write
-  // for a row happens on the thread that owns it; the per-worker digest
-  // deltas merge after the pool joins, leaving no shared writes at all.
+  // for a row — and to its dirty flag, set when the row escalates — happens
+  // on the thread that owns it; the per-worker digest deltas merge after
+  // the pool joins, leaving no shared writes at all.  The dirty flags and
+  // patch_vs leave in the stats as the set of rows this call may have
+  // rewritten.
   const int workers = parallel::effective_num_threads(threads);
   struct WorkerStats {
     std::uint64_t full = 0;
@@ -490,6 +494,7 @@ RecomputeStats recompute_updown_routes(const Topology& topo,
             }
           }
           if (escalate) {
+            dirty[d] = 1;
             route_dest(topo, ranges, up, av, raw, state.granularity, d, sc);
             ++ws.full;
             ++ws.escalated;
@@ -536,6 +541,8 @@ RecomputeStats recompute_updown_routes(const Topology& topo,
     stats.escalated_rows += ws.escalated;
     stats.patched_switches += ws.patched;
   }
+  stats.rewritten_dests = std::move(dirty);
+  stats.patched = std::move(patch_vs);
   note_patch();
   return stats;
 }

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "src/routing/fwd_table.h"
 #include "src/topo/link_state.h"
@@ -56,6 +57,15 @@ struct RecomputeStats {
   std::uint64_t escalated_rows = 0;   ///< of full_rows: promoted because a
                                       ///< patched switch's cost changed
   std::uint64_t patched_switches = 0; ///< single-switch row patches applied
+
+  /// One 0/1 flag per destination: 1 where the call rewrote that
+  /// destination's row for every switch (the full_rows destinations).
+  std::vector<char> rewritten_dests;
+  /// Switches whose own rows the up-set patch may have rebuilt, at any
+  /// destination.  Every row outside rewritten_dests × all switches and
+  /// patched × all destinations is left untouched.  Both are empty when
+  /// the call returns without touching a row.
+  std::vector<SwitchId> patched;
 
   /// Rows the incremental path skipped entirely.
   [[nodiscard]] std::uint64_t untouched_rows() const {

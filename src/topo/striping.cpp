@@ -54,7 +54,7 @@ std::uint64_t Striper::child_member(Level i, std::uint64_t parent_pod,
     case StripingKind::kRandom:
       return random_member(i, parent_pod, child_ordinal, parent_member, z);
   }
-  ASPEN_CHECK(false, "unreachable striping kind");
+  ASPEN_UNREACHABLE("unreachable striping kind");
 }
 
 std::uint64_t Striper::random_member(Level i, std::uint64_t parent_pod,

@@ -10,6 +10,7 @@
 #include "src/fault/chaos.h"
 #include "src/proto/experiment.h"
 #include "src/routing/updown.h"
+#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace aspen {
@@ -98,19 +99,86 @@ TEST(LossyLsp, ReliableFloodLeavesNoStaleSwitches) {
             0u);
 }
 
+/// One seeded step of link failures, link recoveries and switch
+/// crashes/revivals on `lsp`, honouring each simulate_* precondition.
+FailureReport random_lsp_reaction(const Topology& topo, LspSimulation& lsp,
+                                  Rng& rng) {
+  std::vector<LinkId> live;
+  std::vector<LinkId> dead;
+  for (Level level = 1; level <= topo.levels(); ++level) {
+    for (const LinkId link : topo.links_at_level(level)) {
+      (lsp.overlay().is_up(link) ? live : dead).push_back(link);
+    }
+  }
+  std::vector<SwitchId> alive;
+  std::vector<SwitchId> crashed;
+  for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
+    (lsp.is_alive(SwitchId{s}) ? alive : crashed).push_back(SwitchId{s});
+  }
+  const double roll = rng.real();
+  if (roll < 0.1 && crashed.size() < 2) {
+    return lsp.simulate_switch_failure(alive[rng.index(alive.size())]);
+  }
+  if (roll < 0.2 && !crashed.empty()) {
+    return lsp.simulate_switch_recovery(crashed[rng.index(crashed.size())]);
+  }
+  if (roll < 0.5 && !dead.empty()) {
+    return lsp.simulate_link_recovery(dead[rng.index(dead.size())]);
+  }
+  return lsp.simulate_link_failure(live[rng.index(live.size())]);
+}
+
 TEST(LossyLsp, UnreliableHighLossMayStrandSwitchesButIsCounted) {
-  const Topology topo = make_tree({0, 1, 0});
-  DelayModel delays;
-  delays.channel.drop_rate = 0.6;
-  delays.channel.seed = 13;
-  delays.channel.reliable = false;
-  LspSimulation lsp(topo, delays);
-  const FailureReport report =
-      lsp.simulate_link_failure(topo.links_at_level(2)[0]);
-  EXPECT_TRUE(report.quiesced);
-  EXPECT_GT(report.channel_dropped, 0u);
-  // Whatever switches missed the flood are accounted, not silently wrong.
-  EXPECT_GE(report.stale_switches, 0u);
+  // Whatever switches missed the flood are accounted, not silently wrong:
+  // after every reaction the switches that reacted are exactly those whose
+  // tables changed, and the stale count is exactly the live switches whose
+  // tables differ from a fresh computation over the final link state.
+  // Stale switches keep differing from the maintained converged routes
+  // across runs, so this also drives the diff's full-compare path.
+  const std::array trees{make_tree({0, 1, 0}), make_tree({0, 2, 0}, 6),
+                         make_tree({1, 0})};
+  std::uint64_t stale_total = 0;
+  std::uint64_t dropped_total = 0;
+  for (const Topology& topo : trees) {
+    for (const DestGranularity granularity :
+         {DestGranularity::kEdge, DestGranularity::kHost}) {
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(testing::Message()
+                     << topo.describe() << " host granularity "
+                     << (granularity == DestGranularity::kHost) << " seed "
+                     << seed);
+        DelayModel delays;
+        delays.channel.drop_rate = 0.35;
+        delays.channel.seed = seed;
+        delays.channel.reliable = false;
+        LspSimulation lsp(topo, delays, granularity);
+        Rng rng(seed);
+        for (int step = 0; step < 40; ++step) {
+          SCOPED_TRACE(testing::Message() << "step " << step);
+          const RoutingState before = lsp.tables();
+          const FailureReport report = random_lsp_reaction(topo, lsp, rng);
+          ASSERT_TRUE(report.quiesced);
+          ASSERT_EQ(switches_with_changed_tables(before, lsp.tables()),
+                    report.switches_reacted);
+          const RoutingState fresh =
+              compute_updown_routes(topo, lsp.overlay(), granularity);
+          std::uint64_t stale = 0;
+          for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
+            if (lsp.is_alive(SwitchId{s}) &&
+                !RoutingTables::switch_equal(lsp.tables().tables,
+                                             fresh.tables, s)) {
+              ++stale;
+            }
+          }
+          ASSERT_EQ(stale, report.stale_switches);
+          stale_total += report.stale_switches;
+          dropped_total += report.channel_dropped;
+        }
+      }
+    }
+  }
+  EXPECT_GT(dropped_total, 0u);
+  EXPECT_GT(stale_total, 0u);
 }
 
 // ---- Switch crashes ------------------------------------------------------

@@ -3,7 +3,9 @@
 // fault/heal schedules, and the paranoid drift auditor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/aspen/generator.h"
@@ -70,40 +72,54 @@ TEST(RoutingParallel, ByteIdenticalAcrossThreadCountsUnderFailures) {
   }
 }
 
+/// A seeded fault/heal schedule over every link of a tree, host links
+/// included: each step recovers a downed link or fails a live one.
+class FlipSchedule {
+ public:
+  FlipSchedule(const Topology& topo, std::uint64_t seed) : rng_(seed) {
+    for (Level level = 1; level <= topo.levels(); ++level) {
+      for (const LinkId link : topo.links_at_level(level)) {
+        all_links_.push_back(link);
+      }
+    }
+  }
+
+  /// Applies the next step to `overlay` and returns the flipped link.
+  LinkId step(LinkStateOverlay& overlay) {
+    LinkId flipped = LinkId::invalid();
+    if (!down_.empty() && rng_.chance(0.4)) {
+      const std::size_t at = rng_.index(down_.size());
+      flipped = down_[at];
+      down_.erase(down_.begin() + static_cast<std::ptrdiff_t>(at));
+      overlay.recover(flipped);
+    } else {
+      // Draw until a live link comes up; the schedule never downs more
+      // than a fraction of the fabric, so this terminates fast.
+      do {
+        flipped = all_links_[rng_.index(all_links_.size())];
+      } while (!overlay.is_up(flipped));
+      overlay.fail(flipped);
+      down_.push_back(flipped);
+    }
+    return flipped;
+  }
+
+ private:
+  Rng rng_;
+  std::vector<LinkId> all_links_;
+  std::vector<LinkId> down_;
+};
+
 /// Drives a seeded 50-step fault/heal schedule, patching one maintained
 /// state incrementally and recomputing another from scratch at every step.
 void run_schedule(const Topology& topo, DestGranularity granularity,
                   std::uint64_t seed) {
   LinkStateOverlay overlay(topo);
   RoutingState state = compute_updown_routes(topo, overlay, granularity, 1);
-
-  std::vector<LinkId> all_links;
-  for (Level level = 1; level <= topo.levels(); ++level) {
-    for (const LinkId link : topo.links_at_level(level)) {
-      all_links.push_back(link);
-    }
-  }
-  std::vector<LinkId> down;
-
-  Rng rng(seed);
+  FlipSchedule schedule(topo, seed);
   for (int step = 0; step < 50; ++step) {
     SCOPED_TRACE(testing::Message() << "step " << step);
-    LinkId flipped = LinkId::invalid();
-    if (!down.empty() && rng.chance(0.4)) {
-      const std::size_t at = rng.index(down.size());
-      flipped = down[at];
-      down.erase(down.begin() + static_cast<std::ptrdiff_t>(at));
-      overlay.recover(flipped);
-    } else {
-      // Draw until a live link comes up; the schedule never downs more
-      // than a fraction of the fabric, so this terminates fast.
-      do {
-        flipped = all_links[rng.index(all_links.size())];
-      } while (!overlay.is_up(flipped));
-      overlay.fail(flipped);
-      down.push_back(flipped);
-    }
-    const LinkId changed[] = {flipped};
+    const LinkId changed[] = {schedule.step(overlay)};
     (void)recompute_updown_routes(topo, overlay, state, changed, 1);
     const RoutingState fresh =
         compute_updown_routes(topo, overlay, granularity, 1);
@@ -162,6 +178,65 @@ TEST(RoutingIncremental, RecomputeStatsAccountForEveryRow) {
   // must survive untouched or the incremental engine is not incremental.
   EXPECT_GT(stats.untouched_rows(), stats.full_rows);
   EXPECT_EQ(stats.full_rows + stats.untouched_rows(), stats.total_dests);
+
+  // The report names every row the call may have rewritten: all rows of
+  // the rewritten destinations and all rows of the patched switches.  Any
+  // other row must come through the call unchanged.
+  std::uint64_t escalated = 0;
+  std::uint64_t patched = 0;
+  for (const DestGranularity g :
+       {DestGranularity::kEdge, DestGranularity::kHost}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "host granularity " << (g == DestGranularity::kHost)
+                   << " threads " << threads);
+      LinkStateOverlay live(topo);
+      RoutingState maintained = compute_updown_routes(topo, live, g, threads);
+      const auto check = [&](std::span<const LinkId> flipped) {
+        const RoutingState prior = maintained;
+        const RecomputeStats report = recompute_updown_routes(
+            topo, live, maintained, flipped, threads);
+        const std::vector<char>& rewritten = report.rewritten_dests;
+        ASSERT_TRUE(rewritten.empty() ||
+                    rewritten.size() == report.total_dests);
+        EXPECT_EQ(static_cast<std::uint64_t>(std::ranges::count(rewritten, 1)),
+                  report.full_rows);
+        std::vector<char> is_patched(topo.num_switches(), 0);
+        for (const SwitchId v : report.patched) is_patched[v.value()] = 1;
+        std::uint64_t stray = 0;
+        for (std::uint64_t d = 0; d < maintained.num_dests(); ++d) {
+          if (!rewritten.empty() && rewritten[d]) continue;
+          for (std::uint64_t s = 0; s < topo.num_switches(); ++s) {
+            if (is_patched[s]) continue;
+            if (!RoutingTables::rows_equal(
+                    prior.tables, prior.tables.row(s, d), maintained.tables,
+                    maintained.tables.row(s, d))) {
+              ++stray;
+            }
+          }
+        }
+        EXPECT_EQ(stray, 0u) << "rows rewritten outside the report";
+        escalated += report.escalated_rows;
+        patched += report.patched.size();
+      };
+      FlipSchedule schedule(topo, 7);
+      for (int step = 0; step < 40; ++step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        const LinkId flipped[] = {schedule.step(live)};
+        check(flipped);
+      }
+      // Cutting every uplink of one L2 switch changes its cost toward every
+      // destination outside its subtree, escalating those rows.
+      std::vector<LinkId> strand;
+      for (const Topology::Neighbor& nb :
+           topo.up_neighbors(topo.switch_at(2, 0))) {
+        if (live.fail(nb.link)) strand.push_back(nb.link);
+      }
+      check(strand);
+    }
+  }
+  EXPECT_GT(escalated, 0u);
+  EXPECT_GT(patched, 0u);
 }
 
 TEST(RoutingAudit, AuditIncrementalCleanOnMaintainedState) {
