@@ -51,40 +51,6 @@ AuditReport audit_transport_quiescence(const ReliableTransport& transport) {
   return report;
 }
 
-AuditReport audit_custody(
-    const Topology& topo, const LinkStateOverlay& overlay,
-    const std::vector<char>& alive,
-    const std::map<std::uint32_t, std::vector<LinkId>>& crash_links) {
-  AuditReport report;
-  for (const auto& [sw_raw, links] : crash_links) {
-    const SwitchId s{sw_raw};
-    if (alive[sw_raw] != 0) {
-      std::ostringstream os;
-      os << to_string(s) << " holds custody of " << links.size()
-         << " link(s) but is alive";
-      report.add(AuditCode::kCrashCustody, os.str());
-    }
-    for (const LinkId link : links) {
-      const Topology::LinkRec& rec = topo.link(link);
-      const bool incident =
-          rec.upper == topo.node_of(s) || rec.lower == topo.node_of(s);
-      if (!incident) {
-        std::ostringstream os;
-        os << to_string(s) << " holds custody of non-incident "
-           << to_string(link);
-        report.add(AuditCode::kCrashCustody, os.str());
-      }
-      if (overlay.is_up(link)) {
-        std::ostringstream os;
-        os << to_string(s) << " holds custody of " << to_string(link)
-           << " which is up";
-        report.add(AuditCode::kCustodyLinkUp, os.str());
-      }
-    }
-  }
-  return report;
-}
-
 AuditReport audit_resync_direction(const AnpSimulation& sim, SwitchId from,
                                    SwitchId to) {
   AuditReport report;
@@ -101,10 +67,6 @@ AuditReport audit_resync_direction(const AnpSimulation& sim, SwitchId from,
   return report;
 }
 
-AuditReport audit_anp(const AnpSimulation& sim) { return sim.audit(); }
-
-AuditReport audit_lsp(const LspSimulation& sim) { return sim.audit(); }
-
 void AnpAuditPeer::set_announced_lost(AnpSimulation& sim, SwitchId s,
                                       std::uint64_t dest, bool lost) {
   sim.state_[s.value()].announced_lost[dest] = lost ? 1 : 0;
@@ -116,32 +78,9 @@ void AnpAuditPeer::log_removed_by_link(AnpSimulation& sim, SwitchId s,
   sim.state_[s.value()].removed_by_link[link.value()][dest] = hop;
 }
 
-void AnpAuditPeer::add_crash_custody(AnpSimulation& sim, SwitchId s,
-                                     LinkId link) {
-  sim.crash_links_[s.value()].push_back(link);
-}
-
-void AnpAuditPeer::set_alive(AnpSimulation& sim, SwitchId s, bool alive) {
-  sim.alive_[s.value()] = alive ? 1 : 0;
-}
-
-RoutingState& AnpAuditPeer::tables(AnpSimulation& sim) { return sim.tables_; }
-
-LinkStateOverlay& AnpAuditPeer::overlay(AnpSimulation& sim) {
-  return sim.overlay_;
-}
-
-void LspAuditPeer::add_crash_custody(LspSimulation& sim, SwitchId s,
-                                     LinkId link) {
-  sim.crash_links_[s.value()].push_back(link);
-}
-
-void LspAuditPeer::set_alive(LspSimulation& sim, SwitchId s, bool alive) {
-  sim.alive_[s.value()] = alive ? 1 : 0;
-}
-
-LinkStateOverlay& LspAuditPeer::overlay(LspSimulation& sim) {
-  return sim.overlay_;
+void FaultPlaneAuditPeer::add_custody(FaultPlane& plane, SwitchId s,
+                                      LinkId link) {
+  plane.custody_[s.value()].push_back(link);
 }
 
 }  // namespace aspen::proto

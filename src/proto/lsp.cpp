@@ -1,7 +1,6 @@
 #include "src/proto/lsp.h"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -17,151 +16,13 @@
 
 namespace aspen {
 
-namespace {
-
-/// Links whose overlay state one fault event actually changed.
-struct FaultEffect {
-  std::vector<LinkId> failed;
-  std::vector<LinkId> recovered;
-};
-
-/// Pure state transition for one fault event, shared by the preview pass
-/// (on copies) and the live application (on the protocol's real state), so
-/// the two can never diverge.  Mirrors AnpSimulation::apply_fault's rules:
-/// idempotent per event; a recovering link with a crashed endpoint is owed
-/// to that switch's crash-links list instead of coming up; a crash fails
-/// every incident live link; a revival restores the owed links, passing
-/// custody onward for links whose far endpoint is still down.
-FaultEffect apply_fault_state(
-    const Topology& topo, LinkStateOverlay& overlay, std::vector<char>& alive,
-    std::map<std::uint32_t, std::vector<LinkId>>& crash_links,
-    const TimedFault& ev) {
-  FaultEffect effect;
-  switch (ev.kind) {
-    case TimedFault::Kind::kLinkFail: {
-      if (!overlay.is_up(ev.link)) break;  // idempotent
-      overlay.fail(ev.link);
-      effect.failed.push_back(ev.link);
-      break;
-    }
-
-    case TimedFault::Kind::kLinkRecover: {
-      if (overlay.is_up(ev.link)) break;  // idempotent
-      const Topology::LinkRec& rec = topo.link(ev.link);
-      bool owed = false;
-      for (const NodeId endpoint : {rec.upper, rec.lower}) {
-        if (!topo.is_switch_node(endpoint)) continue;
-        const std::uint32_t s = topo.switch_of(endpoint).value();
-        if (alive[s]) continue;
-        auto& list = crash_links[s];
-        if (std::ranges::find(list, ev.link) == list.end()) {
-          list.push_back(ev.link);
-        }
-        owed = true;
-        break;
-      }
-      if (owed) break;
-      ASPEN_ASSERT(std::ranges::all_of(
-                       std::array{rec.upper, rec.lower},
-                       [&](NodeId n) {
-                         return !topo.is_switch_node(n) ||
-                                alive[topo.switch_of(n).value()];
-                       }),
-                   "recovering a link with a crashed endpoint");
-      overlay.recover(ev.link);
-      effect.recovered.push_back(ev.link);
-      break;
-    }
-
-    case TimedFault::Kind::kSwitchFail: {
-      if (!alive[ev.sw.value()]) break;  // idempotent
-      alive[ev.sw.value()] = 0;
-      auto& owed = crash_links[ev.sw.value()];
-      const auto take = [&](const Topology::Neighbor& nb) {
-        if (!overlay.is_up(nb.link)) return;  // was already down
-        overlay.fail(nb.link);
-        owed.push_back(nb.link);
-        effect.failed.push_back(nb.link);
-      };
-      for (const Topology::Neighbor& nb : topo.up_neighbors(ev.sw)) take(nb);
-      for (const Topology::Neighbor& nb : topo.down_neighbors(ev.sw)) {
-        take(nb);
-      }
-      break;
-    }
-
-    case TimedFault::Kind::kSwitchRecover: {
-      if (alive[ev.sw.value()]) break;  // idempotent
-      alive[ev.sw.value()] = 1;
-      std::vector<LinkId> owed;
-      if (const auto it = crash_links.find(ev.sw.value());
-          it != crash_links.end()) {
-        owed = std::move(it->second);
-        crash_links.erase(it);
-      }
-      const NodeId self = topo.node_of(ev.sw);
-      for (const LinkId link : owed) {
-        if (overlay.is_up(link)) continue;
-        const Topology::LinkRec& rec = topo.link(link);
-        const NodeId other = rec.upper == self ? rec.lower : rec.upper;
-        if (topo.is_switch_node(other) &&
-            !alive[topo.switch_of(other).value()]) {
-          auto& peer = crash_links[topo.switch_of(other).value()];
-          if (std::ranges::find(peer, link) == peer.end()) {
-            peer.push_back(link);
-          }
-          continue;
-        }
-        overlay.recover(link);
-        effect.recovered.push_back(link);
-      }
-      break;
-    }
-  }
-  return effect;
-}
-
-}  // namespace
-
 LspSimulation::LspSimulation(const Topology& topo, DelayModel delays,
                              DestGranularity granularity)
-    : topo_(&topo),
-      delays_(delays),
-      granularity_(granularity),
-      overlay_(topo) {
-  tables_ = compute_updown_routes(topo, overlay_, granularity_);
+    : ProtocolSimulation(topo), delays_(delays), granularity_(granularity) {
+  tables_ = compute_updown_routes(topo, overlay(), granularity_);
   converged_ = tables_;
   converged_synced_ = true;
   in_sync_.assign(topo.num_switches(), 1);
-  alive_.assign(topo.num_switches(), 1);
-}
-
-FailureReport LspSimulation::simulate_link_failure(LinkId link) {
-  ASPEN_REQUIRE(overlay_.is_up(link), "link ", link.value(),
-                " is already down");
-  const TimedFault ev = TimedFault::link_fail(link);
-  return simulate_timed_events({&ev, 1});
-}
-
-FailureReport LspSimulation::simulate_link_recovery(LinkId link) {
-  ASPEN_REQUIRE(!overlay_.is_up(link), "link ", link.value(),
-                " is already up");
-  const TimedFault ev = TimedFault::link_recover(link);
-  return simulate_timed_events({&ev, 1});
-}
-
-FailureReport LspSimulation::simulate_switch_failure(SwitchId s) {
-  ASPEN_REQUIRE(alive_.at(s.value()), "switch ", s.value(),
-                " is already down");
-  const TimedFault ev = TimedFault::switch_fail(s);
-  return simulate_timed_events({&ev, 1});
-}
-
-FailureReport LspSimulation::simulate_switch_recovery(SwitchId s) {
-  ASPEN_REQUIRE(!alive_.at(s.value()), "switch ", s.value(),
-                " is already up");
-  const TimedFault ev = TimedFault::switch_recover(s);
-  return simulate_timed_events({&ev, 1});
 }
 
 FailureReport LspSimulation::simulate_timed_events(
@@ -178,7 +39,7 @@ FailureReport LspSimulation::simulate_timed_events(
   std::vector<Record> records;
   bool has_switch_event = false;
   const bool was_fully_alive =
-      std::ranges::all_of(alive_, [](char a) { return a != 0; });
+      std::ranges::all_of(plane_.alive(), [](char a) { return a != 0; });
   std::vector<char> changes(topo.num_switches(), 0);
   std::vector<LinkId> changed_links;
   // Destinations whose rows the engine rewrote for every switch, and the
@@ -186,41 +47,28 @@ FailureReport LspSimulation::simulate_timed_events(
   std::vector<std::uint64_t> rewritten;
   std::vector<char> narrow;
   {
-    LinkStateOverlay future = overlay_;
-    std::vector<char> future_alive = alive_;
-    auto future_crash = crash_links_;
+    FaultPlane future = plane_;
     SimTime prev = 0.0;
     for (const TimedFault& ev : events) {
       ASPEN_REQUIRE(ev.at >= prev, "timed faults must be sorted by time");
       prev = ev.at;
-      if (ev.kind == TimedFault::Kind::kSwitchFail ||
-          ev.kind == TimedFault::Kind::kSwitchRecover) {
-        has_switch_event = true;
-      }
-      const FaultEffect effect =
-          apply_fault_state(topo, future, future_alive, future_crash, ev);
+      has_switch_event = has_switch_event || ev.is_switch_event();
+      const FaultPlane::Flips flips = future.apply(ev);
       Record rec{ev.at, {}};
       const auto add_origin = [&](NodeId endpoint) {
         if (!topo.is_switch_node(endpoint)) return;  // hosts are mute
         const SwitchId s = topo.switch_of(endpoint);
-        if (!future_alive[s.value()]) return;  // the dead flood nothing
+        if (!future.is_alive(s)) return;  // the dead flood nothing
         if (std::ranges::find(rec.origins, s) == rec.origins.end()) {
           rec.origins.push_back(s);
         }
       };
-      for (const LinkId link : effect.failed) {
+      for (const LinkId link : flips.links) {
         add_origin(topo.link(link).upper);
         add_origin(topo.link(link).lower);
         changed_links.push_back(link);
       }
-      for (const LinkId link : effect.recovered) {
-        add_origin(topo.link(link).upper);
-        add_origin(topo.link(link).lower);
-        changed_links.push_back(link);
-      }
-      if (!effect.failed.empty() || !effect.recovered.empty()) {
-        records.push_back(std::move(rec));
-      }
+      if (!flips.links.empty()) records.push_back(std::move(rec));
     }
     // Exact set of switches whose current tables differ from the post-run
     // routes.  A switch dead at the end keeps its stale tables (it flips in
@@ -231,12 +79,13 @@ FailureReport LspSimulation::simulate_timed_events(
     // recomputed); a previous incomplete bounded run invalidates that
     // cache, forcing a fresh full compute here.
     if (!converged_synced_) {
-      converged_ = compute_updown_routes(topo, overlay_, granularity_);
+      converged_ = compute_updown_routes(topo, overlay(), granularity_);
       converged_synced_ = true;
       std::ranges::fill(in_sync_, 0);
     }
     const RecomputeStats patch =
-        recompute_updown_routes(topo, future, converged_, changed_links);
+        recompute_updown_routes(topo, future.overlay(), converged_,
+                                changed_links);
     for (std::uint64_t d = 0; d < patch.rewritten_dests.size(); ++d) {
       if (patch.rewritten_dests[d]) rewritten.push_back(d);
     }
@@ -249,7 +98,7 @@ FailureReport LspSimulation::simulate_timed_events(
     for (const SwitchId v : patch.patched) narrow[v.value()] = 0;
     const bool digest_cmp = tables_.has_digests() && converged_.has_digests();
     for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
-      if (!future_alive[s]) continue;
+      if (!future.alive()[s]) continue;
       // Unequal digests prove the tables differ; equal digests are
       // confirmed row by row, keeping the diff exact.
       if (digest_cmp && tables_.digests[s] != converged_.digests[s]) {
@@ -262,7 +111,7 @@ FailureReport LspSimulation::simulate_timed_events(
     // Destination-major, so each pass streams one contiguous row.
     for (const std::uint64_t d : rewritten) {
       for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
-        if (!future_alive[s] || !narrow[s] || changes[s]) continue;
+        if (!future.alive()[s] || !narrow[s] || changes[s]) continue;
         if (!RoutingTables::rows_equal(tables_.tables, tables_.tables.row(s, d),
                                        converged_.tables,
                                        converged_.tables.row(s, d))) {
@@ -274,7 +123,7 @@ FailureReport LspSimulation::simulate_timed_events(
     // switch already matches it, a changed one matches once it flips, and
     // a switch dead at the end was not diffed.
     for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
-      in_sync_[s] = future_alive[s] != 0 && changes[s] == 0 ? 1 : 0;
+      in_sync_[s] = future.alive()[s] != 0 && changes[s] == 0 ? 1 : 0;
     }
   }
   // In the paper's regime — perfect channel, healthy links, no crashes —
@@ -282,7 +131,7 @@ FailureReport LspSimulation::simulate_timed_events(
   // not an outcome.  Degraded link health makes copies lossy even over a
   // perfect channel, so it demotes the check to a measured outcome too.
   const bool strict = delays_.channel.perfect() && !has_switch_event &&
-                      was_fully_alive && overlay_.num_degraded() == 0;
+                      was_fully_alive && overlay().num_degraded() == 0;
 
   // ---- Flood simulation: per-switch highest sequence seen per origin
   // slot, serialized CPUs, hop counters on LSAs.  A changed switch flips to
@@ -315,7 +164,7 @@ FailureReport LspSimulation::simulate_timed_events(
   const auto install = [&](SwitchId at, std::size_t slot, std::size_t rec,
                            int hops) {
     ASPEN_ASSERT(slot < num_slots, "LSA slot out of range");
-    ASPEN_ASSERT(alive_[at.value()], "a crashed switch cannot install LSAs");
+    ASPEN_ASSERT(plane_.is_alive(at), "a crashed switch cannot install LSAs");
     obs::count("lsp.lsa_installs");
     obs::trace_event(sim.now(), obs::TraceKind::kMsgRecv, at.value(), 0, slot,
                      "lsp");
@@ -340,7 +189,7 @@ FailureReport LspSimulation::simulate_timed_events(
                   std::size_t rec, int hops) {
         const auto forward = [&](const Topology::Neighbor& nb) {
           if (nb.link == arrival_link) return;
-          if (!overlay_.is_up(nb.link)) return;
+          if (!overlay().is_up(nb.link)) return;
           if (!topo.is_switch_node(nb.node)) return;  // hosts do not flood
           const SwitchId dst = topo.switch_of(nb.node);
           ++report.messages_sent;
@@ -348,7 +197,7 @@ FailureReport LspSimulation::simulate_timed_events(
           obs::trace_event(sim.now(), obs::TraceKind::kMsgSend, from.value(),
                            dst.value(), slot, "lsp");
           auto deliver = [&, dst, slot, rec, hops, via = nb.link] {
-            if (!alive_[dst.value()]) return;  // crashed while in flight
+            if (!plane_.is_alive(dst)) return;  // crashed while in flight
             const bool is_new = !seen[dst.value()][slot];
             const SimTime cost = is_new ? delays_.lsa_processing
                                         : delays_.lsa_duplicate_processing;
@@ -357,7 +206,7 @@ FailureReport LspSimulation::simulate_timed_events(
               // Re-check at processing completion: a copy that raced in
               // while this one sat on the CPU may have installed it first;
               // the switch may also have crashed while the copy queued.
-              if (!alive_[dst.value()]) return;
+              if (!plane_.is_alive(dst)) return;
               if (seen[dst.value()][slot]) return;
               install(dst, slot, rec, hops + 1);
               flood(dst, via, slot, rec, hops + 1);
@@ -369,15 +218,15 @@ FailureReport LspSimulation::simulate_timed_events(
             transport->send(
                 delays_.propagation, std::move(deliver),
                 [&, link = nb.link, from] {
-                  return overlay_.is_up(link) && alive_[from.value()];
+                  return overlay().is_up(link) && plane_.is_alive(from);
                 },
-                [&, dst] { return alive_[dst.value()]; },
+                [&, dst] { return plane_.is_alive(dst); },
                 [&, link = nb.link] {
-                  return overlay_.loss_now(link, sim.now());
+                  return overlay().loss_now(link, sim.now());
                 });
           } else {
             channel.transmit(sim, delays_.propagation, std::move(deliver),
-                             overlay_.loss_now(nb.link, sim.now()));
+                             overlay().loss_now(nb.link, sim.now()));
           }
         };
         for (const Topology::Neighbor& nb : topo.up_neighbors(from)) {
@@ -394,27 +243,20 @@ FailureReport LspSimulation::simulate_timed_events(
   // costing one LSA processing interval (SPF on its own new view).
   // Live application, with fault traces for what actually flipped (the
   // preview pass above runs on copies and stays silent).
-  const auto apply_live = [this, &topo](SimTime t_ms, const TimedFault& ev) {
-    const bool crashing = ev.kind == TimedFault::Kind::kSwitchFail &&
-                          alive_[ev.sw.value()] != 0;
-    const bool reviving = ev.kind == TimedFault::Kind::kSwitchRecover &&
-                          alive_[ev.sw.value()] == 0;
-    const FaultEffect effect =
-        apply_fault_state(topo, overlay_, alive_, crash_links_, ev);
-    if (crashing) {
-      obs::trace_event(t_ms, obs::TraceKind::kSwitchCrash, ev.sw.value(), 0,
-                       0, "lsp");
-    } else if (reviving) {
-      obs::trace_event(t_ms, obs::TraceKind::kSwitchRevive, ev.sw.value(), 0,
-                       0, "lsp");
+  const auto apply_live = [this](SimTime t_ms, const TimedFault& ev) {
+    const FaultPlane::Flips flips = plane_.apply(ev);
+    const bool failure = ev.is_failure();
+    if (flips.switch_flipped) {
+      obs::trace_event(t_ms,
+                       failure ? obs::TraceKind::kSwitchCrash
+                               : obs::TraceKind::kSwitchRevive,
+                       ev.sw.value(), 0, 0, "lsp");
     }
-    for (const LinkId link : effect.failed) {
-      obs::trace_event(t_ms, obs::TraceKind::kLinkFail, link.value(), 0, 0,
-                       "lsp");
-    }
-    for (const LinkId link : effect.recovered) {
-      obs::trace_event(t_ms, obs::TraceKind::kLinkRecover, link.value(), 0, 0,
-                       "lsp");
+    for (const LinkId link : flips.links) {
+      obs::trace_event(t_ms,
+                       failure ? obs::TraceKind::kLinkFail
+                               : obs::TraceKind::kLinkRecover,
+                       link.value(), 0, 0, "lsp");
     }
   };
   for (const TimedFault& ev : events) {
@@ -432,11 +274,11 @@ FailureReport LspSimulation::simulate_timed_events(
       const SimTime when =
           records[r].at + delays_.detection + delays_.lsa_generation_delay;
       sim.schedule_at(when, [&, origin, slot, r] {
-        if (!alive_[origin.value()]) return;  // crashed before detecting
+        if (!plane_.is_alive(origin)) return;  // crashed before detecting
         const SimTime done =
             cpus[origin.value()].occupy(sim.now(), delays_.lsa_processing);
         sim.schedule_at(done, [&, origin, slot, r] {
-          if (!alive_[origin.value()]) return;  // crashed mid-origination
+          if (!plane_.is_alive(origin)) return;  // crashed mid-origination
           if (seen[origin.value()][slot]) return;
           install(origin, slot, r, 0);
           flood(origin, LinkId::invalid(), slot, r, 0);
@@ -492,7 +334,7 @@ FailureReport LspSimulation::simulate_timed_events(
     }
   }
   // converged_ is the next run's incremental base.  An incomplete bounded
-  // run can leave scheduled fault applications unexecuted (overlay_ then
+  // run can leave scheduled fault applications unexecuted (the plane then
   // lags the previewed future), so only a completed run keeps it valid.
   converged_synced_ = run.completed;
   const ChannelStats& ch = channel.stats();
@@ -521,10 +363,6 @@ FailureReport LspSimulation::simulate_timed_events(
     contracts::enforce(self_audit, "lsp self-audit");
   }
   return report;
-}
-
-AuditReport LspSimulation::audit() const {
-  return proto::audit_custody(*topo_, overlay_, alive_, crash_links_);
 }
 
 }  // namespace aspen

@@ -10,11 +10,8 @@ namespace aspen {
 
 LspLsdbSimulation::LspLsdbSimulation(const Topology& topo, DelayModel delays,
                                      DestGranularity granularity)
-    : topo_(&topo),
-      delays_(delays),
-      granularity_(granularity),
-      overlay_(topo) {
-  tables_ = compute_updown_routes(topo, overlay_, granularity_);
+    : ProtocolSimulation(topo), delays_(delays), granularity_(granularity) {
+  tables_ = compute_updown_routes(topo, overlay(), granularity_);
   state_.assign(topo.num_switches(), SwitchState(topo));
   for (SwitchState& st : state_) st.view = tables_;
   own_seq_.assign(topo.num_switches(), 0);
@@ -44,7 +41,7 @@ void LspLsdbSimulation::transmit(RunContext& ctx, SwitchId from,
                                  const Lsa& lsa, LinkId arrival_link) {
   const auto forward = [&](const Topology::Neighbor& nb) {
     if (nb.link == arrival_link) return;
-    if (!overlay_.is_up(nb.link)) return;
+    if (!overlay().is_up(nb.link)) return;
     if (!topo_->is_switch_node(nb.node)) return;
     const SwitchId peer = topo_->switch_of(nb.node);
     ++ctx.report.messages_sent;
@@ -156,22 +153,21 @@ FailureReport LspLsdbSimulation::simulate_link_event(LinkId link, bool up) {
   return ctx.report;
 }
 
-FailureReport LspLsdbSimulation::simulate_link_failure(LinkId link) {
-  ASPEN_REQUIRE(overlay_.is_up(link), "link ", link.value(),
-                " is already down");
-  overlay_.fail(link);
-  obs::trace_event(0.0, obs::TraceKind::kLinkFail, link.value(), 0, 0,
-                   "lsp_full");
-  return simulate_link_event(link, /*up=*/false);
-}
-
-FailureReport LspLsdbSimulation::simulate_link_recovery(LinkId link) {
-  ASPEN_REQUIRE(!overlay_.is_up(link), "link ", link.value(),
-                " is already up");
-  overlay_.recover(link);
-  obs::trace_event(0.0, obs::TraceKind::kLinkRecover, link.value(), 0, 0,
-                   "lsp_full");
-  return simulate_link_event(link, /*up=*/true);
+FailureReport LspLsdbSimulation::simulate_timed_events(
+    std::span<const TimedFault> events) {
+  ASPEN_REQUIRE(events.size() == 1 && events.front().at <= 0.0,
+                "the LSDB model runs one link event at a time, at t=0");
+  const TimedFault& ev = events.front();
+  ASPEN_REQUIRE(!ev.is_switch_event(),
+                "switch crashes not supported by this protocol");
+  const bool up = !ev.is_failure();
+  const bool flipped = !plane_.apply(ev).links.empty();
+  ASPEN_REQUIRE(flipped, "link ", ev.link.value(),
+                up ? " is already up" : " is already down");
+  obs::trace_event(
+      0.0, up ? obs::TraceKind::kLinkRecover : obs::TraceKind::kLinkFail,
+      ev.link.value(), 0, 0, "lsp_full");
+  return simulate_link_event(ev.link, up);
 }
 
 }  // namespace aspen

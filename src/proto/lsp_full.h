@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/proto/protocol.h"
@@ -34,16 +35,13 @@ class LspLsdbSimulation final : public ProtocolSimulation {
       const Topology& topo, DelayModel delays = {},
       DestGranularity granularity = DestGranularity::kEdge);
 
-  FailureReport simulate_link_failure(LinkId link) override;
-  FailureReport simulate_link_recovery(LinkId link) override;
+  /// Runs one link failure or recovery at t=0.  Switch crashes and
+  /// compound schedules are not modeled: PreconditionError.
+  FailureReport simulate_timed_events(
+      std::span<const TimedFault> events) override;
 
   /// The fabric's forwarding state: each switch's self-computed row.
   [[nodiscard]] const RoutingState& tables() const override { return tables_; }
-  [[nodiscard]] const LinkStateOverlay& overlay() const override {
-    return overlay_;
-  }
-  [[nodiscard]] LinkStateOverlay& overlay_mut() override { return overlay_; }
-  [[nodiscard]] const Topology& topology() const override { return *topo_; }
 
  private:
   struct Lsa {
@@ -87,10 +85,8 @@ class LspLsdbSimulation final : public ProtocolSimulation {
   void transmit(RunContext& ctx, SwitchId from, const Lsa& lsa,
                 LinkId arrival_link);
 
-  const Topology* topo_;
   DelayModel delays_;
   DestGranularity granularity_;
-  LinkStateOverlay overlay_;   ///< ground truth
   RoutingState tables_;        ///< row s computed by switch s
   std::vector<SwitchState> state_;
   std::vector<std::uint64_t> own_seq_;  ///< per switch, as LSA origin

@@ -20,7 +20,7 @@
 // that want to keep running and tally how often an invariant broke).
 //
 // On top of the macros sit the per-layer auditors (topo::audit_tree,
-// routing::audit_tables, proto::audit_anp/audit_lsp, sim::audit_queue).
+// routing::audit_tables, ProtocolSimulation::audit, sim::audit_queue).
 // They return structured AuditReports — a list of (AuditCode, message)
 // findings — so tests can assert *which* invariant fired, and chaos
 // campaigns get a sharper failure oracle than end-state comparison alone.
@@ -77,7 +77,7 @@ enum class AuditCode {
   kIncrementalDrift,    ///< maintained state or digest diverges from a
                         ///< fresh full route computation
 
-  // ---- proto::audit_anp / audit_lsp -----------------------------------
+  // ---- ProtocolSimulation::audit and the proto:: auditors -----------
   kWithdrawalLogStale,    ///< removal logged against a link that is up
   kAnnouncedLostMismatch, ///< announced-lost flag set but entry non-empty
   kCrashCustody,          ///< crash-links custody held by a live switch

@@ -12,6 +12,7 @@
 
 #include "src/aspen/generator.h"
 #include "src/proto/audit.h"
+#include "src/proto/lsp.h"
 #include "src/routing/audit.h"
 #include "src/routing/updown.h"
 #include "src/sim/audit.h"
@@ -385,32 +386,33 @@ TEST(ProtoAudit, InflightConversationAtQuiescenceFires) {
   EXPECT_EQ(transport.stats().gave_up, 1u);
 }
 
+/// The uplink of the first edge switch of `topo`.
+LinkId first_edge_uplink(const Topology& topo) {
+  const SwitchId edge = topo.switch_at(1, 0);
+  for (const LinkId l : topo.links_at_level(2)) {
+    if (topo.link(l).lower == topo.node_of(edge)) return l;
+  }
+  return LinkId::invalid();
+}
+
 TEST(ProtoAudit, CustodyInvariantsFire) {
   const Topology topo = make_tree({1, 0});
-  LinkStateOverlay overlay(topo);
-  std::vector<char> alive(topo.num_switches(), 1);
-
+  FaultPlane plane(topo);
+  EXPECT_TRUE(plane.audit().ok());
   const SwitchId edge = topo.switch_at(1, 0);
-  LinkId uplink = LinkId::invalid();
-  for (const LinkId l : topo.links_at_level(2)) {
-    if (topo.link(l).lower == topo.node_of(edge)) {
-      uplink = l;
-      break;
-    }
-  }
+  const LinkId uplink = first_edge_uplink(topo);
   ASSERT_TRUE(uplink.valid());
-  std::map<std::uint32_t, std::vector<LinkId>> custody;
-  custody[edge.value()] = {uplink};
+  proto::FaultPlaneAuditPeer::add_custody(plane, edge, uplink);
 
   // Live holder and a link that is still up: both invariants violated.
-  AuditReport dirty = proto::audit_custody(topo, overlay, alive, custody);
+  AuditReport dirty = plane.audit();
   EXPECT_TRUE(dirty.has(AuditCode::kCrashCustody)) << dirty.to_string();
   EXPECT_TRUE(dirty.has(AuditCode::kCustodyLinkUp)) << dirty.to_string();
 
-  // Crash the holder and take the link down: custody becomes legitimate.
-  alive[edge.value()] = 0;
-  overlay.fail(uplink);
-  EXPECT_TRUE(proto::audit_custody(topo, overlay, alive, custody).ok());
+  // Crash the holder, which takes the link down: custody becomes
+  // legitimate.
+  (void)plane.apply(TimedFault::switch_fail(edge));
+  EXPECT_TRUE(plane.audit().ok()) << plane.audit().to_string();
 }
 
 TEST(ProtoAudit, ResyncDirectionFires) {
@@ -436,7 +438,7 @@ TEST(ProtoAudit, ResyncDirectionFires) {
 TEST(ProtoAudit, AnpWithdrawalLogStaleFires) {
   const Topology topo = make_tree({1, 0});
   AnpSimulation sim(topo);
-  EXPECT_TRUE(proto::audit_anp(sim).ok());
+  EXPECT_TRUE(sim.audit().ok());
 
   const LinkId link = topo.links_at_level(2)[0];
   const Topology::LinkRec& rec = topo.link(link);
@@ -444,7 +446,7 @@ TEST(ProtoAudit, AnpWithdrawalLogStaleFires) {
   proto::AnpAuditPeer::log_removed_by_link(
       sim, lower, link, 0, Topology::Neighbor{rec.upper, link});
   EXPECT_TRUE(
-      proto::audit_anp(sim).has(AuditCode::kWithdrawalLogStale));
+      sim.audit().has(AuditCode::kWithdrawalLogStale));
 }
 
 TEST(ProtoAudit, AnpAnnouncedLostMismatchFires) {
@@ -455,54 +457,40 @@ TEST(ProtoAudit, AnpAnnouncedLostMismatchFires) {
   ASSERT_TRUE(sim.tables().tables.row(edge.value(), far_dest).reachable());
   proto::AnpAuditPeer::set_announced_lost(sim, edge, far_dest, true);
   EXPECT_TRUE(
-      proto::audit_anp(sim).has(AuditCode::kAnnouncedLostMismatch));
+      sim.audit().has(AuditCode::kAnnouncedLostMismatch));
   proto::AnpAuditPeer::set_announced_lost(sim, edge, far_dest, false);
-  EXPECT_TRUE(proto::audit_anp(sim).ok());
+  EXPECT_TRUE(sim.audit().ok());
+}
+
+// Each protocol's audit() includes its fault plane's custody audit: a
+// crashed switch's custody over a link the overlay brought back up fires.
+template <typename Sim>
+void expect_custody_audited(const Topology& topo, Sim& sim) {
+  EXPECT_TRUE(sim.audit().ok());
+  const LinkId uplink = first_edge_uplink(topo);
+  ASSERT_TRUE(uplink.valid());
+  (void)sim.simulate_switch_failure(topo.switch_at(1, 0));
+  EXPECT_TRUE(sim.audit().ok()) << sim.audit().to_string();
+
+  sim.overlay_mut().recover(uplink);
+  AuditReport report = sim.audit();
+  EXPECT_FALSE(report.has(AuditCode::kCrashCustody)) << report.to_string();
+  EXPECT_TRUE(report.has(AuditCode::kCustodyLinkUp)) << report.to_string();
+
+  sim.overlay_mut().fail(uplink);
+  EXPECT_TRUE(sim.audit().ok());
 }
 
 TEST(ProtoAudit, AnpCrashCustodyFires) {
   const Topology topo = make_tree({1, 0});
   AnpSimulation sim(topo);
-  const SwitchId edge = topo.switch_at(1, 0);
-  LinkId uplink = LinkId::invalid();
-  for (const LinkId l : topo.links_at_level(2)) {
-    if (topo.link(l).lower == topo.node_of(edge)) {
-      uplink = l;
-      break;
-    }
-  }
-  ASSERT_TRUE(uplink.valid());
-  proto::AnpAuditPeer::add_crash_custody(sim, edge, uplink);
-  EXPECT_TRUE(proto::audit_anp(sim).has(AuditCode::kCrashCustody));
-
-  // Dead holder, but the custody claims a link that is actually up.
-  proto::AnpAuditPeer::set_alive(sim, edge, false);
-  AuditReport report = proto::audit_anp(sim);
-  EXPECT_FALSE(report.has(AuditCode::kCrashCustody)) << report.to_string();
-  EXPECT_TRUE(report.has(AuditCode::kCustodyLinkUp)) << report.to_string();
-
-  proto::AnpAuditPeer::overlay(sim).fail(uplink);
-  EXPECT_TRUE(proto::audit_anp(sim).ok());
+  expect_custody_audited(topo, sim);
 }
 
 TEST(ProtoAudit, LspCrashCustodyFires) {
   const Topology topo = make_tree({1, 0});
   LspSimulation sim(topo);
-  EXPECT_TRUE(proto::audit_lsp(sim).ok());
-  const SwitchId edge = topo.switch_at(1, 0);
-  LinkId uplink = LinkId::invalid();
-  for (const LinkId l : topo.links_at_level(2)) {
-    if (topo.link(l).lower == topo.node_of(edge)) {
-      uplink = l;
-      break;
-    }
-  }
-  ASSERT_TRUE(uplink.valid());
-  proto::LspAuditPeer::add_crash_custody(sim, edge, uplink);
-  EXPECT_TRUE(proto::audit_lsp(sim).has(AuditCode::kCrashCustody));
-  proto::LspAuditPeer::set_alive(sim, edge, false);
-  proto::LspAuditPeer::overlay(sim).fail(uplink);
-  EXPECT_TRUE(proto::audit_lsp(sim).ok());
+  expect_custody_audited(topo, sim);
 }
 
 // ---- sim::audit_queue ----------------------------------------------------
