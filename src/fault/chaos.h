@@ -21,6 +21,7 @@
 // faults recover in arbitrary (non-LIFO) order — see docs/CHAOS.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -95,6 +96,17 @@ struct ChaosOptions {
   double p_domain_cut = 0.5;
 };
 
+/// One forwarding row (switch, dest) whose entry after the unwind differs
+/// from its pre-campaign entry.
+struct UnrestoredRow {
+  SwitchId sw;
+  std::uint64_t dest = 0;
+  int before_cost = 0;
+  int after_cost = 0;
+  std::vector<Topology::Neighbor> before_hops;
+  std::vector<Topology::Neighbor> after_hops;
+};
+
 struct ChaosOutcome {
   /// Echo of ChaosOptions::seed, so every report names its schedule.
   std::uint64_t seed = 0;
@@ -144,6 +156,10 @@ struct ChaosOutcome {
   std::uint64_t undetected_grays = 0;
   /// Invariant (b): tables byte-identical to pre-campaign after unwind.
   bool tables_restored = false;
+  /// When tables_restored is false, the first kMaxUnrestoredRows differing
+  /// rows in (switch, dest) order; empty otherwise.
+  static constexpr std::size_t kMaxUnrestoredRows = 8;
+  std::vector<UnrestoredRow> unrestored_rows;
 
   // ---- Invariant audits (paranoid mode only) --------------------------
   // Run when contracts::effective_audit_level(delays.audit_level) reaches

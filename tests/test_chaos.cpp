@@ -2,12 +2,18 @@
 // switch-crash injection, compound timed faults, and chaos campaigns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdio>
 #include <memory>
+#include <ostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/aspen/generator.h"
 #include "src/fault/chaos.h"
+#include "src/fault/seed.h"
 #include "src/proto/experiment.h"
 #include "src/routing/updown.h"
 #include "src/util/rng.h"
@@ -179,6 +185,78 @@ TEST(LossyLsp, UnreliableHighLossMayStrandSwitchesButIsCounted) {
   }
   EXPECT_GT(dropped_total, 0u);
   EXPECT_GT(stale_total, 0u);
+}
+
+// ---- Fault plane ----------------------------------------------------------
+
+/// Every link incident to `s`, in the order a crash takes them.
+std::vector<LinkId> incident_links(const Topology& topo, SwitchId s) {
+  std::vector<LinkId> links;
+  for (const Topology::Neighbor& nb : topo.up_neighbors(s)) {
+    links.push_back(nb.link);
+  }
+  for (const Topology::Neighbor& nb : topo.down_neighbors(s)) {
+    links.push_back(nb.link);
+  }
+  return links;
+}
+
+TEST(FaultPlane, EventsAreIdempotentAndReportWhatFlipped) {
+  const Topology topo = make_tree({0, 1, 0});
+  FaultPlane plane(topo);
+  const LinkId link = topo.links_at_level(2)[0];
+  const SwitchId upper = topo.switch_of(topo.link(link).upper);
+
+  FaultPlane::Flips flips = plane.apply(TimedFault::link_fail(link));
+  EXPECT_EQ(flips.links, std::vector<LinkId>{link});
+  EXPECT_FALSE(flips.switch_flipped);
+  EXPECT_TRUE(plane.apply(TimedFault::link_fail(link)).links.empty());
+
+  // A crash takes every incident link that is still up.
+  std::vector<LinkId> taken = incident_links(topo, upper);
+  std::erase(taken, link);
+  flips = plane.apply(TimedFault::switch_fail(upper));
+  EXPECT_TRUE(flips.switch_flipped);
+  EXPECT_EQ(flips.links, taken);
+  flips = plane.apply(TimedFault::switch_fail(upper));
+  EXPECT_FALSE(flips.switch_flipped);
+  EXPECT_TRUE(flips.links.empty());
+
+  // A link recovering while an endpoint is down is owed to that endpoint,
+  // and its revival brings back everything it owes.
+  EXPECT_TRUE(plane.apply(TimedFault::link_recover(link)).links.empty());
+  EXPECT_FALSE(plane.overlay().is_up(link));
+  EXPECT_TRUE(plane.audit().ok()) << plane.audit().to_string();
+  flips = plane.apply(TimedFault::switch_recover(upper));
+  EXPECT_TRUE(flips.switch_flipped);
+  taken.push_back(link);
+  EXPECT_EQ(flips.links, taken);
+  EXPECT_EQ(plane.overlay().num_failed(), 0u);
+  EXPECT_TRUE(plane.apply(TimedFault::switch_recover(upper)).links.empty());
+  EXPECT_TRUE(plane.audit().ok()) << plane.audit().to_string();
+}
+
+TEST(FaultPlane, CustodyMovesToTheEndpointStillDown) {
+  const Topology topo = make_tree({0, 1, 0});
+  FaultPlane plane(topo);
+  const LinkId link = topo.links_at_level(2)[0];
+  const SwitchId upper = topo.switch_of(topo.link(link).upper);
+  const SwitchId lower = topo.switch_of(topo.link(link).lower);
+
+  (void)plane.apply(TimedFault::switch_fail(upper));
+  (void)plane.apply(TimedFault::switch_fail(lower));
+  // Reviving one endpoint leaves the shared link down, owed to the other.
+  const FaultPlane::Flips first =
+      plane.apply(TimedFault::switch_recover(upper));
+  EXPECT_EQ(std::ranges::count(first.links, link), 0);
+  EXPECT_FALSE(plane.overlay().is_up(link));
+  EXPECT_TRUE(plane.audit().ok()) << plane.audit().to_string();
+
+  const FaultPlane::Flips second =
+      plane.apply(TimedFault::switch_recover(lower));
+  EXPECT_EQ(std::ranges::count(second.links, link), 1);
+  EXPECT_EQ(plane.overlay().num_failed(), 0u);
+  EXPECT_TRUE(plane.audit().ok()) << plane.audit().to_string();
 }
 
 // ---- Switch crashes ------------------------------------------------------
@@ -386,6 +464,169 @@ TEST(ChaosCampaign, DeterministicGivenSeed) {
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.checked_flows, b.checked_flows);
   EXPECT_EQ(a.protocol_shortfall, b.protocol_shortfall);
+}
+
+// ---- Restoration on every seed ---------------------------------------------
+
+/// The campaign `aspen chaos 4 4 "<0,1,0>" <protocol> 40 <drop> <seed>` runs:
+/// giving a drop rate turns on 0.5 ms jitter, duplicates at drop/4 and, for
+/// a positive rate, the reliable transport.
+ChaosOptions cli_campaign(bool notify_children, double drop,
+                          std::uint64_t seed) {
+  ChaosOptions options;
+  options.anp.notify_children = notify_children;
+  options.num_events = 40;
+  options.seed = seed;
+  options.delays.channel.drop_rate = drop;
+  options.delays.channel.duplicate_rate = drop / 4.0;
+  options.delays.channel.jitter_ms = 0.5;
+  options.delays.channel.reliable = drop > 0.0;
+  options.delays.channel.seed =
+      fault::derive_stream_seed(seed, fault::kStreamChannel);
+  return options;
+}
+
+struct CampaignCase {
+  const char* name;
+  ProtocolKind kind;
+  bool notify_children;  ///< anp+
+  double drop;
+  std::uint64_t first_seed;
+  std::uint64_t last_seed;
+};
+
+// Names the ctest case by `name` alone: the default byte dump would include
+// the name pointer, which changes from run to run.
+void PrintTo(const CampaignCase& c, std::ostream* os) { *os << c.name; }
+
+/// Runs the case's seeds; returns the failures as "seed N: why" lines.  A
+/// run whose transport gave up may leave tables stale — that is an honest
+/// outcome, so such seeds are only counted and named in `gave_up`.
+std::string failing_seeds(const CampaignCase& c, std::string& gave_up) {
+  const Topology topo = make_tree({0, 1, 0});
+  std::ostringstream failures;
+  std::ostringstream abandoned;
+  for (std::uint64_t seed = c.first_seed; seed <= c.last_seed; ++seed) {
+    const ChaosOutcome outcome = run_chaos_campaign(
+        c.kind, topo, cli_campaign(c.notify_children, c.drop, seed));
+    std::string why;
+    if (!outcome.all_quiesced) why += " unquiesced";
+    if (outcome.ground_truth_violations != 0) why += " ground-truth";
+    if (outcome.audit_violations != 0) why += " audit";
+    if (!outcome.tables_restored) {
+      if (outcome.gave_up > 0) {
+        abandoned << " " << seed;
+      } else {
+        why += " tables-not-restored";
+      }
+    }
+    if (!why.empty()) failures << "seed " << seed << ":" << why << "\n";
+  }
+  gave_up = abandoned.str();
+  return failures.str();
+}
+
+class ChaosRestoration : public ::testing::TestWithParam<CampaignCase> {};
+
+TEST_P(ChaosRestoration, EverySeedRestoresTables) {
+  std::string gave_up;
+  const std::string failures = failing_seeds(GetParam(), gave_up);
+  EXPECT_EQ(failures, "");
+  if (!gave_up.empty()) {
+    std::printf("[  NOTE    ] give-up seeds left unrestored:%s\n",
+                gave_up.c_str());
+  }
+}
+
+// Every protocol, at the CLI's loss settings, on seeds 1-200.
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ChaosRestoration,
+    ::testing::Values(
+        CampaignCase{"anp_loss0", ProtocolKind::kAnp, false, 0.0, 1, 200},
+        CampaignCase{"anp_loss5", ProtocolKind::kAnp, false, 0.05, 1, 200},
+        CampaignCase{"anp_loss20", ProtocolKind::kAnp, false, 0.2, 1, 200},
+        CampaignCase{"anp_plus_loss0", ProtocolKind::kAnp, true, 0.0, 1, 200},
+        CampaignCase{"anp_plus_loss5", ProtocolKind::kAnp, true, 0.05, 1,
+                     200},
+        CampaignCase{"anp_plus_loss20", ProtocolKind::kAnp, true, 0.2, 1,
+                     200},
+        CampaignCase{"lsp_loss0", ProtocolKind::kLsp, false, 0.0, 1, 200},
+        CampaignCase{"lsp_loss5", ProtocolKind::kLsp, false, 0.05, 1, 200},
+        CampaignCase{"lsp_loss20", ProtocolKind::kLsp, false, 0.2, 1, 200}),
+    [](const auto& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+// Seeds on which ANP applied a resync snapshot after a newer notice from
+// the same sender, once the jittered channel swapped them, and so lost an
+// ECMP member across a switch crash and revival (docs/CHAOS.md).
+INSTANTIATE_TEST_SUITE_P(
+    StaleNotice, ChaosRestoration,
+    ::testing::Values(
+        CampaignCase{"anp_plus_seed6", ProtocolKind::kAnp, true, 0.0, 6, 6},
+        CampaignCase{"anp_plus_seed12", ProtocolKind::kAnp, true, 0.0, 12,
+                     12},
+        CampaignCase{"anp_plus_seed16", ProtocolKind::kAnp, true, 0.0, 16,
+                     16},
+        CampaignCase{"anp_plus_seed28", ProtocolKind::kAnp, true, 0.0, 28,
+                     28},
+        CampaignCase{"anp_plus_seed29", ProtocolKind::kAnp, true, 0.0, 29,
+                     29},
+        CampaignCase{"anp_seed14", ProtocolKind::kAnp, false, 0.0, 14, 14}),
+    [](const auto& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+TEST(ChaosCampaign, UnrestoredVerdictNamesTheDifferingRows) {
+  const Topology topo = make_tree({0, 1, 0});
+  // At 95% drop the transport gives up and tables stay stale.
+  fault::ChaosCampaign campaign(ProtocolKind::kAnp, topo,
+                                cli_campaign(true, 0.95, 3));
+  const RoutingState initial = campaign.protocol().tables();
+  while (campaign.advance()) {
+  }
+  campaign.finish();
+  const ChaosOutcome& outcome = campaign.outcome();
+  ASSERT_FALSE(outcome.tables_restored);
+  ASSERT_GT(outcome.gave_up, 0u);
+
+  const RoutingTables& before = initial.tables;
+  const RoutingTables& after = campaign.protocol().tables().tables;
+  std::vector<UnrestoredRow> expected;
+  for (std::uint64_t s = 0; s < before.size(); ++s) {
+    for (std::uint64_t d = 0; d < before.num_dests(); ++d) {
+      const RoutingTables::Entry& a = before.row(s, d);
+      const RoutingTables::Entry& b = after.row(s, d);
+      if (a.cost == b.cost &&
+          std::ranges::equal(before.hops(a), after.hops(b))) {
+        continue;
+      }
+      if (expected.size() < ChaosOutcome::kMaxUnrestoredRows) {
+        const auto ha = before.hops(a);
+        const auto hb = after.hops(b);
+        expected.push_back({SwitchId{static_cast<std::uint32_t>(s)}, d,
+                            a.cost, b.cost, {ha.begin(), ha.end()},
+                            {hb.begin(), hb.end()}});
+      }
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(outcome.unrestored_rows.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const UnrestoredRow& got = outcome.unrestored_rows[i];
+    EXPECT_EQ(got.sw, expected[i].sw);
+    EXPECT_EQ(got.dest, expected[i].dest);
+    EXPECT_EQ(got.before_cost, expected[i].before_cost);
+    EXPECT_EQ(got.after_cost, expected[i].after_cost);
+    EXPECT_EQ(got.before_hops, expected[i].before_hops);
+    EXPECT_EQ(got.after_hops, expected[i].after_hops);
+  }
+
+  // A restored run names no rows.
+  const ChaosOutcome restored =
+      run_chaos_campaign(ProtocolKind::kAnp, topo, cli_campaign(true, 0.0, 3));
+  ASSERT_TRUE(restored.tables_restored);
+  EXPECT_TRUE(restored.unrestored_rows.empty());
 }
 
 TEST(TimedFaults, RequireSortedSchedules) {

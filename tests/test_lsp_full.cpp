@@ -123,5 +123,18 @@ TEST(LspFull, DoubleFailureRejected) {
   EXPECT_THROW((void)lsp.simulate_link_failure(link), PreconditionError);
 }
 
+TEST(LspFull, SwitchEventsRejected) {
+  // The LSDB model does not model crashes: switch events are refused
+  // before they touch the fault plane.
+  const Topology topo = Topology::build(fat_tree(3, 4));
+  LspLsdbSimulation lsp(topo);
+  const SwitchId victim = topo.switch_at(2, 0);
+  EXPECT_THROW((void)lsp.simulate_switch_failure(victim), PreconditionError);
+  EXPECT_TRUE(lsp.is_alive(victim));
+  for (const Topology::Neighbor& nb : topo.up_neighbors(victim)) {
+    EXPECT_TRUE(lsp.overlay().is_up(nb.link));
+  }
+}
+
 }  // namespace
 }  // namespace aspen

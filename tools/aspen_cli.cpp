@@ -27,12 +27,16 @@
 // Every subcommand is a thin veneer over the public library API; exit code
 // 0 on success, 1 on bad usage, 2 when a check fails.
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/analysis/availability.h"
@@ -64,6 +68,21 @@
 namespace {
 
 using namespace aspen;
+
+/// Parses a whole argument as a T: every character must belong to the
+/// number and the value must fit T, so "40x" is an error rather than 40,
+/// and an unsigned T rejects a sign rather than wrapping "-3".  Throws
+/// std::invalid_argument, which the caller reports as a usage error.
+template <typename T>
+T parse_number(const std::string& token) {
+  T value{};
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument("not a valid number: '" + token + "'");
+  }
+  return value;
+}
 
 /// Global --seed= override, stripped in main(); subcommands that take a
 /// seed (chaos, detect) prefer it over their positional.
@@ -198,7 +217,8 @@ void print_tree(const TreeParams& tree) {
 
 int cmd_generate(const std::vector<std::string>& args) {
   if (args.size() != 3) return usage();
-  print_tree(generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+  print_tree(generate_tree(parse_number<int>(args[0]),
+                           parse_number<int>(args[1]),
                            FaultToleranceVector::parse(args[2])));
   return 0;
 }
@@ -206,11 +226,16 @@ int cmd_generate(const std::vector<std::string>& args) {
 int cmd_enumerate(const std::vector<std::string>& args) {
   if (args.size() < 2 || args.size() > 4) return usage();
   EnumerationFilter filter;
-  if (args.size() >= 3) filter.min_hosts = std::stoull(args[2]);
-  if (args.size() >= 4) filter.max_switches = std::stoull(args[3]);
+  if (args.size() >= 3) {
+    filter.min_hosts = parse_number<std::uint64_t>(args[2]);
+  }
+  if (args.size() >= 4) {
+    filter.max_switches = parse_number<std::uint64_t>(args[3]);
+  }
   TextTable table({"FTV", "DCC", "hosts", "switches", "links", "avg hops"});
   for (const TreeParams& t :
-       enumerate_trees(std::stoi(args[0]), std::stoi(args[1]), filter)) {
+       enumerate_trees(parse_number<int>(args[0]), parse_number<int>(args[1]),
+                       filter)) {
     table.add_row({t.ftv().to_string(), std::to_string(t.dcc()),
                    std::to_string(t.num_hosts()),
                    std::to_string(t.total_switches()),
@@ -236,14 +261,16 @@ StripingConfig parse_striping(const std::vector<std::string>& args,
       throw PreconditionError("unknown striping: " + name);
     }
   }
-  if (args.size() > index + 1) cfg.seed = std::stoull(args[index + 1]);
+  if (args.size() > index + 1) {
+    cfg.seed = parse_number<std::uint64_t>(args[index + 1]);
+  }
   return cfg;
 }
 
 int cmd_validate(const std::vector<std::string>& args) {
   if (args.size() < 3 || args.size() > 5) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])),
       parse_striping(args, 3));
   const ValidationReport report = validate_topology(topo);
@@ -274,7 +301,7 @@ int cmd_validate(const std::vector<std::string>& args) {
 int cmd_export(const std::vector<std::string>& args) {
   if (args.size() != 4) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[1]), std::stoi(args[2]),
+      generate_tree(parse_number<int>(args[1]), parse_number<int>(args[2]),
                     FaultToleranceVector::parse(args[3])));
   if (args[0] == "dot") {
     std::printf("%s", to_dot(topo).c_str());
@@ -298,10 +325,10 @@ int cmd_design(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  const int n_fat = std::stoi(args[0]);
-  const int k = std::stoi(args[1]);
+  const int n_fat = parse_number<int>(args[0]);
+  const int k = parse_number<int>(args[1]);
   const TreeParams aspen =
-      design_fixed_host_tree(n_fat, k, std::stoi(args[2]), placement);
+      design_fixed_host_tree(n_fat, k, parse_number<int>(args[2]), placement);
   const TreeParams fat = fat_tree(n_fat, k);
   print_tree(aspen);
   std::printf("  vs the %d-level fat tree: +%lu switches, +%lu links, same "
@@ -317,9 +344,10 @@ int cmd_design(const std::vector<std::string>& args) {
 
 int cmd_recommend(const std::vector<std::string>& args) {
   if (args.size() < 2 || args.size() > 3) return usage();
-  const int ft = args.size() == 3 ? std::stoi(args[2]) : 1;
+  const int ft = args.size() == 3 ? parse_number<int>(args[2]) : 1;
   const auto ftv =
-      recommend_ftv_placement(std::stoi(args[0]), std::stoi(args[1]), ft);
+      recommend_ftv_placement(parse_number<int>(args[0]),
+                              parse_number<int>(args[1]), ft);
   const PlacementQuality quality = evaluate_placement(ftv);
   std::printf("%s  covered=%s longest_zero_run=%d avg_hops=%.2f\n",
               ftv.to_string().c_str(), quality.covered ? "yes" : "no",
@@ -330,7 +358,7 @@ int cmd_recommend(const std::vector<std::string>& args) {
 int cmd_simulate(const std::vector<std::string>& args) {
   if (args.size() < 4 || args.size() > 5) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   SweepOptions options;
   ProtocolKind kind;
@@ -344,7 +372,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
   } else {
     return usage();
   }
-  if (args.size() == 5) options.levels = {std::stoi(args[4])};
+  if (args.size() == 5) options.levels = {parse_number<int>(args[4])};
   options.connectivity_flows = 2000;
   const SweepResult sweep = sweep_link_failures(kind, topo, options);
   std::printf("%s, protocol %s: %lu failures swept\n",
@@ -367,9 +395,9 @@ int cmd_simulate(const std::vector<std::string>& args) {
 int cmd_availability(const std::vector<std::string>& args) {
   if (args.size() < 3 || args.size() > 4) return usage();
   const TreeParams tree =
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2]));
-  const double rate = args.size() == 4 ? std::stod(args[3]) : 0.25;
+  const double rate = args.size() == 4 ? parse_number<double>(args[3]) : 0.25;
   const AvailabilityEstimate estimate = estimate_availability(tree, rate);
   std::printf("%s at %.2f failures/link/year:\n", tree.to_string().c_str(),
               rate);
@@ -384,7 +412,7 @@ int cmd_availability(const std::vector<std::string>& args) {
 int cmd_window(const std::vector<std::string>& args) {
   if (args.size() != 4) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   ProtocolKind kind;
   AnpOptions anp;
@@ -420,7 +448,7 @@ int cmd_window(const std::vector<std::string>& args) {
 int cmd_chaos(const std::vector<std::string>& args) {
   if (args.size() < 4 || args.size() > 8) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   ChaosOptions options;
   ProtocolKind kind;
@@ -434,20 +462,20 @@ int cmd_chaos(const std::vector<std::string>& args) {
   } else {
     return usage();
   }
-  if (args.size() >= 5) options.num_events = std::stoi(args[4]);
+  if (args.size() >= 5) options.num_events = parse_number<int>(args[4]);
   if (args.size() >= 6) {
-    options.delays.channel.drop_rate = std::stod(args[5]);
+    options.delays.channel.drop_rate = parse_number<double>(args[5]);
     options.delays.channel.duplicate_rate =
         options.delays.channel.drop_rate / 4.0;
     options.delays.channel.jitter_ms = 0.5;
     options.delays.channel.reliable = options.delays.channel.drop_rate > 0.0;
   }
-  if (args.size() >= 7) options.seed = std::stoull(args[6]);
+  if (args.size() >= 7) options.seed = parse_number<std::uint64_t>(args[6]);
   if (g_seed) options.seed = *g_seed;
   options.delays.channel.seed =
       fault::derive_stream_seed(options.seed, fault::kStreamChannel);
   if (args.size() >= 8) {
-    options.p_degrade = std::stod(args[7]);
+    options.p_degrade = parse_number<double>(args[7]);
     // Gray links can eat notifications; retransmit so tables restore.
     if (options.p_degrade > 0.0) options.delays.channel.reliable = true;
   }
@@ -536,6 +564,20 @@ int cmd_chaos(const std::vector<std::string>& args) {
                    std::to_string(contract_violations)});
   }
   std::printf("%s", table.to_string().c_str());
+  const auto hop_set = [](const std::vector<Topology::Neighbor>& hops) {
+    std::string text = "{";
+    for (const Topology::Neighbor& hop : hops) {
+      text += (text.size() > 1 ? ", " : "") + to_string(hop.link);
+    }
+    return text + "}";
+  };
+  for (const UnrestoredRow& row : outcome.unrestored_rows) {
+    std::printf("  unrestored %s dest %lu: cost %d via %s -> cost %d via %s\n",
+                to_string(row.sw).c_str(),
+                static_cast<unsigned long>(row.dest), row.before_cost,
+                hop_set(row.before_hops).c_str(), row.after_cost,
+                hop_set(row.after_hops).c_str());
+  }
   for (const std::string& message : outcome.audit_messages) {
     std::printf("  audit: %s\n", message.c_str());
   }
@@ -562,7 +604,7 @@ int cmd_chaos(const std::vector<std::string>& args) {
 int cmd_flows(const std::vector<std::string>& args) {
   if (args.size() < 4 || args.size() > 8) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   FlowChaosOptions options;
   ProtocolKind kind;
@@ -577,10 +619,12 @@ int cmd_flows(const std::vector<std::string>& args) {
     return usage();
   }
   if (args.size() >= 5) {
-    options.total_flows = std::stoull(args[4]);
+    options.total_flows = parse_number<std::uint64_t>(args[4]);
   }
-  if (args.size() >= 6) options.chaos.num_events = std::stoi(args[5]);
-  if (args.size() >= 7) options.chaos.seed = std::stoull(args[6]);
+  if (args.size() >= 6) options.chaos.num_events = parse_number<int>(args[5]);
+  if (args.size() >= 7) {
+    options.chaos.seed = parse_number<std::uint64_t>(args[6]);
+  }
   if (g_seed) options.chaos.seed = *g_seed;
   if (args.size() >= 8 &&
       !parse_next_hop_policy(args[7], options.plane.policy)) {
@@ -641,17 +685,19 @@ int cmd_flows(const std::vector<std::string>& args) {
 int cmd_survive(const std::vector<std::string>& args) {
   if (args.size() < 3 || args.size() > 8) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   SurvivabilityOptions options;
   options.threads = 0;  // --threads= / ASPEN_THREADS via the parallel pool
-  if (args.size() >= 4) options.samples = std::stoull(args[3]);
+  if (args.size() >= 4) options.samples = parse_number<std::uint64_t>(args[3]);
   const std::string domain_spec = args.size() >= 5 ? args[4] : "independent";
   if (args.size() >= 6) {
-    options.max_steps = static_cast<std::uint32_t>(std::stoul(args[5]));
+    options.max_steps = parse_number<std::uint32_t>(args[5]);
   }
-  const double mtbf_hours = args.size() >= 7 ? std::stod(args[6]) : 2190.0;
-  const double mttr_hours = args.size() >= 8 ? std::stod(args[7]) : 4.0;
+  const double mtbf_hours =
+      args.size() >= 7 ? parse_number<double>(args[6]) : 2190.0;
+  const double mttr_hours =
+      args.size() >= 8 ? parse_number<double>(args[7]) : 4.0;
   if (g_seed) options.seed = *g_seed;
 
   const fault::FailureDomainModel domains =
@@ -712,13 +758,16 @@ int cmd_survive(const std::vector<std::string>& args) {
 int cmd_detect(const std::vector<std::string>& args) {
   if (args.size() < 3 || args.size() > 7) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
-  const double gray_loss = args.size() >= 4 ? std::stod(args[3]) : 0.3;
+  const double gray_loss =
+      args.size() >= 4 ? parse_number<double>(args[3]) : 0.3;
   fault::DetectorOptions options;
-  if (args.size() >= 5) options.probe_interval_ms = std::stod(args[4]);
-  if (args.size() >= 6) options.loss_threshold = std::stoi(args[5]);
-  if (args.size() >= 7) options.window = std::stoi(args[6]);
+  if (args.size() >= 5) {
+    options.probe_interval_ms = parse_number<double>(args[4]);
+  }
+  if (args.size() >= 6) options.loss_threshold = parse_number<int>(args[5]);
+  if (args.size() >= 7) options.window = parse_number<int>(args[6]);
   if (g_seed) options.seed = *g_seed;
   const LinkId link = topo.links_at_level(2)[0];
   std::printf("%s: detector on %s — probe %.1f ms, %d-of-%d, "
@@ -789,7 +838,7 @@ int cmd_detect(const std::vector<std::string>& args) {
 int cmd_label(const std::vector<std::string>& args) {
   if (args.size() < 3 || args.size() > 4) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   const ForwardingStateStats stats = forwarding_state_stats(topo);
   std::printf("%s\n", topo.describe().c_str());
@@ -799,7 +848,7 @@ int cmd_label(const std::vector<std::string>& args) {
   std::printf("  flat host-keyed        : %lu total\n",
               static_cast<unsigned long>(stats.flat_host_entries));
   if (args.size() == 4) {
-    const HostId host{static_cast<std::uint32_t>(std::stoul(args[3]))};
+    const HostId host{parse_number<std::uint32_t>(args[3])};
     std::printf("  label(%s)             : %s\n", to_string(host).c_str(),
                 label_of(topo, host).to_string().c_str());
   } else {
@@ -822,7 +871,7 @@ int cmd_audit(const std::vector<std::string>& args) {
   std::ostringstream csv;
   csv << file.rdbuf();
   const TreeParams params =
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2]));
   const Topology topo = import_topology_csv(params, csv.str());
   const ValidationReport report = validate_topology(topo);
@@ -847,7 +896,7 @@ int cmd_audit(const std::vector<std::string>& args) {
 int cmd_trace(const std::vector<std::string>& args) {
   if (args.size() < 4 || args.size() > 6) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   ProtocolKind kind;
   if (args[3] == "lsp") {
@@ -859,7 +908,7 @@ int cmd_trace(const std::vector<std::string>& args) {
   }
   TraceScenarioOptions options;
   if (args.size() >= 5) options.scenario = parse_trace_scenario(args[4]);
-  if (args.size() >= 6) options.chaos_events = std::stoi(args[5]);
+  if (args.size() >= 6) options.chaos_events = parse_number<int>(args[5]);
   if (g_seed) options.seed = *g_seed;
 
   const TraceScenarioResult result = run_traced_scenario(kind, topo, options);
@@ -897,7 +946,7 @@ int cmd_trace(const std::vector<std::string>& args) {
 int cmd_serve(const std::vector<std::string>& args) {
   if (args.size() < 4 || args.size() > 8) return usage();
   const Topology topo = Topology::build(
-      generate_tree(std::stoi(args[0]), std::stoi(args[1]),
+      generate_tree(parse_number<int>(args[0]), parse_number<int>(args[1]),
                     FaultToleranceVector::parse(args[2])));
   serve::ServeChaosOptions options;
   ProtocolKind kind;
@@ -911,16 +960,18 @@ int cmd_serve(const std::vector<std::string>& args) {
   } else {
     return usage();
   }
-  if (args.size() >= 5) options.num_queries = std::stoi(args[4]);
+  if (args.size() >= 5) options.num_queries = parse_number<int>(args[4]);
   if (args.size() >= 6) {
-    options.client.channel.drop_rate = std::stod(args[5]);
+    options.client.channel.drop_rate = parse_number<double>(args[5]);
     options.client.channel.duplicate_rate =
         options.client.channel.drop_rate / 4.0;
     options.client.channel.jitter_ms = 0.3;
   }
-  if (args.size() >= 7) options.chaos.seed = std::stoull(args[6]);
+  if (args.size() >= 7) {
+    options.chaos.seed = parse_number<std::uint64_t>(args[6]);
+  }
   if (g_seed) options.chaos.seed = *g_seed;
-  if (args.size() >= 8) options.deadline_ms = std::stod(args[7]);
+  if (args.size() >= 8) options.deadline_ms = parse_number<double>(args[7]);
   options.chaos.num_events = std::max(4, options.num_queries / 25);
   options.chaos.check_flows = 64;
   options.action_every_ms = static_cast<double>(options.num_queries) *
@@ -1020,7 +1071,8 @@ int main(int argc, char** argv) {
     }
     if (word.rfind(kSeedFlag, 0) == 0) {
       try {
-        g_seed = std::stoull(word.substr(std::strlen(kSeedFlag)));
+        g_seed =
+            parse_number<std::uint64_t>(word.substr(std::strlen(kSeedFlag)));
       } catch (const std::exception&) {
         std::fprintf(stderr, "error: bad --seed value: %s\n", word.c_str());
         return usage();
@@ -1031,7 +1083,7 @@ int main(int argc, char** argv) {
     if (word.rfind(kThreadsFlag, 0) == 0) {
       try {
         aspen::parallel::set_num_threads(
-            std::stoi(word.substr(std::strlen(kThreadsFlag))));
+            parse_number<int>(word.substr(std::strlen(kThreadsFlag))));
       } catch (const std::exception&) {
         std::fprintf(stderr, "error: bad --threads value: %s\n", word.c_str());
         return usage();
