@@ -18,6 +18,14 @@ namespace aspen {
 
 namespace {
 
+const obs::Counter kSamples{"survive.samples"};
+const obs::Counter kDisconnects{"survive.disconnects"};
+const obs::Counter kAudits{"survive.audits"};
+const obs::Counter kQuarantined{"survive.quarantined"};
+const obs::Counter kRollbackRebuilds{"survive.rollback_rebuilds"};
+const obs::Counter kSteps{"survive.steps"};
+const obs::Counter kCheckpoints{"survive.checkpoints"};
+
 /// Quarantined sample indices retained per campaign (smallest first); the
 /// count is always exact, the index list is a bounded diagnostic.
 constexpr std::size_t kMaxQuarantineIndices = 64;
@@ -445,15 +453,15 @@ SurvivabilityResult run_survivability(const Topology& topo,
     }
     next += chunk;
 
-    obs::count("survive.samples", chunk);
-    obs::count("survive.disconnects",
+    obs::count(kSamples, chunk);
+    obs::count(kDisconnects,
                acc.disconnected_samples - chunk_before.disconnected_samples);
-    obs::count("survive.audits", acc.audits_run - chunk_before.audits_run);
-    obs::count("survive.quarantined",
+    obs::count(kAudits, acc.audits_run - chunk_before.audits_run);
+    obs::count(kQuarantined,
                acc.quarantined - chunk_before.quarantined);
-    obs::count("survive.rollback_rebuilds",
+    obs::count(kRollbackRebuilds,
                acc.rollback_rebuilds - chunk_before.rollback_rebuilds);
-    obs::count("survive.steps", acc.sum_steps - chunk_before.sum_steps);
+    obs::count(kSteps, acc.sum_steps - chunk_before.sum_steps);
     obs::trace_event(0.0, obs::TraceKind::kSurviveChunk,
                      static_cast<std::uint32_t>(next >> 32),
                      static_cast<std::uint32_t>(next), chunk);
@@ -466,7 +474,7 @@ SurvivabilityResult run_survivability(const Topology& topo,
       checkpoint.total_samples = options.samples;
       checkpoint.next_sample = next;
       checkpoint.acc = acc;
-      obs::count("survive.checkpoints");
+      obs::count(kCheckpoints);
       obs::trace_event(0.0, obs::TraceKind::kSurviveCheckpoint, 0, 0, next);
       options.on_checkpoint(checkpoint);
     }

@@ -19,6 +19,14 @@ namespace aspen {
 
 namespace {
 
+const obs::Counter kChecks{"chaos.checks"};
+const obs::Counter kCampaigns{"chaos.campaigns"};
+const obs::Counter kDegradationsCleared{"chaos.degradations_cleared"};
+const obs::Counter kFlapsInjected{"chaos.flaps_injected"};
+const obs::Counter kGrayInjected{"chaos.gray_injected"};
+const obs::Counter kDomainCuts{"chaos.domain_cuts"};
+const obs::Counter kDomainLinksCut{"chaos.domain_links_cut"};
+
 void absorb(ChaosOutcome& outcome, const FailureReport& report) {
   outcome.messages += report.messages_sent;
   outcome.retransmits += report.retransmits;
@@ -90,7 +98,7 @@ void check_consistency(const Topology& topo, const ProtocolSimulation& proto,
   const TableRouter truth_router(cache.truth);
   const TableRouter proto_router(proto.tables());
   ++outcome.checks;
-  obs::count("chaos.checks");
+  obs::count(kChecks);
   const std::uint64_t violations_before =
       outcome.ground_truth_violations + outcome.protocol_shortfall;
   WalkOptions pure;
@@ -213,7 +221,7 @@ struct ChaosCampaign::Impl {
         rng(opts.seed),
         flow_rng(derive_stream_seed(opts.seed, kStreamChaosFlows)) {
     outcome.seed = options.seed;
-    obs::count("chaos.campaigns");
+    obs::count(kCampaigns);
     obs::trace_event(0.0, obs::TraceKind::kChaosPhase, 0, 0,
                      static_cast<std::uint64_t>(options.num_events),
                      "campaign_start");
@@ -324,7 +332,7 @@ struct ChaosCampaign::Impl {
         degraded.erase(degraded.begin() + static_cast<std::ptrdiff_t>(at));
         if (proto->overlay_mut().clear_degradation(link)) {
           ++outcome.degradations_cleared;
-          obs::count("chaos.degradations_cleared");
+          obs::count(kDegradationsCleared);
           obs::trace_event(0.0, obs::TraceKind::kLinkRestore, link.value(), 0,
                            static_cast<std::uint64_t>(action), "heal");
         }
@@ -342,7 +350,7 @@ struct ChaosCampaign::Impl {
         proto->overlay_mut().set_flapping(link, options.flap_period_ms,
                                           options.flap_duty);
         ++outcome.flaps_injected;
-        obs::count("chaos.flaps_injected");
+        obs::count(kFlapsInjected);
         obs::trace_event(0.0, obs::TraceKind::kLinkDegrade, link.value(), 0,
                          static_cast<std::uint64_t>(action), "flap");
       } else {
@@ -351,7 +359,7 @@ struct ChaosCampaign::Impl {
             rng.real() * (options.gray_loss_max - options.gray_loss_min);
         proto->overlay_mut().set_gray(link, loss);
         ++outcome.gray_injected;
-        obs::count("chaos.gray_injected");
+        obs::count(kGrayInjected);
         obs::trace_event(0.0, obs::TraceKind::kLinkDegrade, link.value(), 0,
                          static_cast<std::uint64_t>(action), "gray");
         if (options.measure_detection_latency) {
@@ -433,8 +441,8 @@ struct ChaosCampaign::Impl {
         outcome.link_failures += schedule.size();
         outcome.domain_links_cut += schedule.size();
         ++outcome.domain_cuts;
-        obs::count("chaos.domain_cuts");
-        obs::count("chaos.domain_links_cut", schedule.size());
+        obs::count(kDomainCuts);
+        obs::count(kDomainLinksCut, schedule.size());
       } else {
         const std::vector<LinkId> up = up_candidates();
         if (up.empty()) return;
@@ -471,7 +479,7 @@ struct ChaosCampaign::Impl {
     for (const LinkId link : degraded) {
       if (proto->overlay_mut().clear_degradation(link)) {
         ++outcome.degradations_cleared;
-        obs::count("chaos.degradations_cleared");
+        obs::count(kDegradationsCleared);
         obs::trace_event(0.0, obs::TraceKind::kLinkRestore, link.value(), 0, 0,
                          "unwind");
       }

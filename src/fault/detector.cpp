@@ -12,6 +12,10 @@ namespace aspen::fault {
 
 namespace {
 
+const obs::Counter kProbesSent{"detector.probes_sent"};
+const obs::Counter kProbesLost{"detector.probes_lost"};
+const obs::Counter kEvents{"detector.events"};
+
 // Floating-point slack for penalty comparisons after long decay chains.
 constexpr double kPenaltyTolerance = 1e-6;
 
@@ -100,12 +104,12 @@ void FailureDetector::schedule_probe(std::size_t session_index,
 void FailureDetector::probe(std::size_t session_index) {
   Session& s = sessions_[session_index];
   ++stats_.probes_sent;
-  obs::count("detector.probes_sent");
+  obs::count(kProbesSent);
   const double loss = overlay_->loss_now(s.link, sim_->now());
   const bool lost = loss >= 1.0 || (loss > 0.0 && rng_.chance(loss));
   if (lost) {
     ++stats_.probes_lost;
-    obs::count("detector.probes_lost");
+    obs::count(kProbesLost);
   }
 
   // Slide the N-of-M window.
@@ -266,7 +270,7 @@ void FailureDetector::schedule_reuse_check(LinkId link) {
 
 void FailureDetector::record(LinkId link, SwitchId observer,
                              DetectionKind kind) {
-  obs::count("detector.events");
+  obs::count(kEvents);
   obs::trace_event(sim_->now(), obs::TraceKind::kDetect, link.value(),
                    observer.valid() ? observer.value() : 0,
                    static_cast<std::uint64_t>(kind), to_cstring(kind));

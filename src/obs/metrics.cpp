@@ -38,8 +38,47 @@ const std::vector<double>& default_histogram_bounds() {
   return kBounds;
 }
 
-void MetricsRegistry::add(const std::string& name, std::uint64_t delta) {
-  counters_[name] += delta;
+namespace {
+
+/// The process-wide counter name table.  Handles are registered at static
+/// initialization or on the orchestrator thread, like every emission.
+struct CounterNames {
+  std::vector<std::string> names;
+  std::map<std::string, std::uint32_t, std::less<>> index;
+};
+
+CounterNames& counter_names() {
+  static CounterNames table;
+  return table;
+}
+
+}  // namespace
+
+Counter::Counter(std::string_view name) {
+  CounterNames& table = counter_names();
+  const auto it = table.index.find(name);
+  if (it != table.index.end()) {
+    index_ = it->second;
+    return;
+  }
+  index_ = static_cast<std::uint32_t>(table.names.size());
+  table.names.emplace_back(name);
+  table.index.emplace(table.names.back(), index_);
+}
+
+void MetricsRegistry::grow_counters() {
+  const std::size_t size = counter_names().names.size();
+  counter_values_.resize(size, 0);
+  counter_present_.resize(size, 0);
+}
+
+std::map<std::string, std::uint64_t> MetricsRegistry::counters() const {
+  std::map<std::string, std::uint64_t> out;
+  const std::vector<std::string>& names = counter_names().names;
+  for (std::size_t i = 0; i < counter_present_.size(); ++i) {
+    if (counter_present_[i] != 0) out.emplace(names[i], counter_values_[i]);
+  }
+  return out;
 }
 
 void MetricsRegistry::set_gauge(const std::string& name, double value) {
@@ -74,8 +113,12 @@ void MetricsRegistry::observe(const std::string& name, double value) {
 }
 
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  const CounterNames& table = counter_names();
+  const auto it = table.index.find(name);
+  if (it == table.index.end() || it->second >= counter_present_.size()) {
+    return 0;
+  }
+  return counter_values_[it->second];
 }
 
 double MetricsRegistry::gauge(const std::string& name) const {
@@ -90,11 +133,14 @@ const HistogramData* MetricsRegistry::histogram(
 }
 
 bool MetricsRegistry::empty() const {
-  return counters_.empty() && gauges_.empty() && histograms_.empty();
+  return std::ranges::none_of(counter_present_,
+                              [](char present) { return present != 0; }) &&
+         gauges_.empty() && histograms_.empty();
 }
 
 void MetricsRegistry::reset() {
-  counters_.clear();
+  std::ranges::fill(counter_values_, 0);
+  std::ranges::fill(counter_present_, 0);
   gauges_.clear();
   histograms_.clear();
 }
@@ -106,7 +152,7 @@ std::string MetricsRegistry::to_json(int indent) const {
 
   out += pad + "  \"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : counters_) {
+  for (const auto& [name, value] : counters()) {
     out += first ? "\n" : ",\n";
     out += pad + "    " + quote(name) + ": " + std::to_string(value);
     first = false;

@@ -55,8 +55,9 @@ extern bool g_trace_enabled;
 
 // ---- emit helpers (the only API instrumented code should touch) --------
 
-inline void count(const char* name, std::uint64_t delta = 1) {
-  if (metrics_enabled()) metrics().add(name, delta);
+/// Counts through a pre-registered handle (an array index, no lookup).
+inline void count(Counter counter, std::uint64_t delta = 1) {
+  if (metrics_enabled()) metrics().add(counter, delta);
 }
 
 inline void gauge_set(const char* name, double value) {

@@ -1,6 +1,7 @@
 #include "src/proto/anp.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +14,9 @@
 namespace aspen {
 
 namespace {
+
+const obs::Counter kMsgsSent{"anp.msgs_sent"};
+const obs::Counter kMsgsRecv{"anp.msgs_recv"};
 
 // Rewrites one forwarding entry while keeping the engine's per-switch
 // digest in sync (fwd_table.h): digest ^= old_row_hash ^ new_row_hash.
@@ -74,26 +78,36 @@ void AnpSimulation::mark_reaction(RunContext& ctx, SwitchId s, SimTime when,
   ctx.react_hops[s.value()] = std::max(ctx.react_hops[s.value()], hops);
 }
 
+std::uint32_t AnpSimulation::store_notice(RunContext& ctx,
+                                          std::vector<DestIndex> dests) {
+  ctx.notices.push_back(std::move(dests));
+  return static_cast<std::uint32_t>(ctx.notices.size() - 1);
+}
+
 void AnpSimulation::transmit_notification(RunContext& ctx, SwitchId from,
                                           const Topology::Neighbor& nb,
-                                          const std::vector<DestIndex>& dests,
-                                          bool lost, int hops) {
+                                          std::uint32_t notice, bool lost,
+                                          int hops) {
   if (!overlay().is_up(nb.link)) return;
   if (!topo_->is_switch_node(nb.node)) return;  // hosts are mute
-  ASPEN_ASSERT(!dests.empty(), "notifications always carry destinations");
+  const std::size_t num_dests = ctx.notices[notice].size();
+  ASPEN_ASSERT(num_dests != 0, "notifications always carry destinations");
   const SwitchId peer = topo_->switch_of(nb.node);
   ++ctx.report.messages_sent;
   const std::uint64_t seq = ++ctx.notice_seq;
-  obs::count("anp.msgs_sent");
+  obs::count(kMsgsSent);
   obs::trace_event(ctx.sim.now(), obs::TraceKind::kMsgSend, from.value(),
-                   peer.value(), dests.size(), lost ? "anp_lost" : "anp_ok");
-  auto deliver = [this, &ctx, peer, from, seq, dests, lost, hops] {
+                   peer.value(), num_dests, lost ? "anp_lost" : "anp_ok");
+  // The reliable transport checks the receiver before it delivers; the
+  // bare channel leaves that to this guard (died in flight).
+  auto deliver = [this, &ctx, peer, from, seq, notice, lost, hops] {
+    if (!plane_.is_alive(peer)) return;
     const SimTime done =
         ctx.cpus[peer.value()].occupy(ctx.sim.now(), delays_.anp_processing);
-    ctx.sim.schedule_at(done, [this, &ctx, peer, from, seq, dests, lost,
+    ctx.sim.schedule_at(done, [this, &ctx, peer, from, seq, notice, lost,
                                hops] {
       if (!plane_.is_alive(peer)) return;  // crashed while queued on its CPU
-      handle_notification(ctx, peer, from, seq, dests, lost, hops);
+      handle_notification(ctx, peer, from, seq, notice, lost, hops);
     });
   };
   // Control traffic rides the same physical link as data, so a gray or
@@ -110,12 +124,7 @@ void AnpSimulation::transmit_notification(RunContext& ctx, SwitchId from,
           return overlay().loss_now(link, ctx.sim.now());
         });
   } else {
-    ctx.channel.transmit(ctx.sim, delays_.propagation,
-                         [this, peer, deliver = std::move(deliver)] {
-                           // Died in flight.
-                           if (!plane_.is_alive(peer)) return;
-                           deliver();
-                         },
+    ctx.channel.transmit(ctx.sim, delays_.propagation, std::move(deliver),
                          overlay().loss_now(nb.link, ctx.sim.now()));
   }
 }
@@ -127,14 +136,15 @@ void AnpSimulation::send_notification(RunContext& ctx, SwitchId from,
   if (dests.empty()) return;
   if (!plane_.is_alive(from)) return;  // the dead do not speak
 
+  const std::uint32_t notice = store_notice(ctx, std::move(dests));
   for (const Topology::Neighbor& nb : topo_->up_neighbors(from)) {
     if (nb.node == exclude) continue;
-    transmit_notification(ctx, from, nb, dests, lost, hops);
+    transmit_notification(ctx, from, nb, notice, lost, hops);
   }
   if (options_.notify_children) {
     for (const Topology::Neighbor& nb : topo_->down_neighbors(from)) {
       if (nb.node == exclude) continue;
-      transmit_notification(ctx, from, nb, dests, lost, hops);
+      transmit_notification(ctx, from, nb, notice, lost, hops);
     }
   }
 }
@@ -157,18 +167,23 @@ void AnpSimulation::send_resync(RunContext& ctx, SwitchId from,
     (st.announced_lost[e] ? lost : fine).push_back(e);
   }
   if (!lost.empty()) {
-    transmit_notification(ctx, from, peer, lost, /*lost=*/true, /*hops=*/1);
+    transmit_notification(ctx, from, peer, store_notice(ctx, std::move(lost)),
+                          /*lost=*/true, /*hops=*/1);
   }
   if (!fine.empty()) {
-    transmit_notification(ctx, from, peer, fine, /*lost=*/false, /*hops=*/1);
+    transmit_notification(ctx, from, peer, store_notice(ctx, std::move(fine)),
+                          /*lost=*/false, /*hops=*/1);
   }
 }
 
 void AnpSimulation::handle_notification(RunContext& ctx, SwitchId at,
                                         SwitchId neighbor, std::uint64_t seq,
-                                        const std::vector<DestIndex>& dests,
-                                        bool lost, int hops) {
-  obs::count("anp.msgs_recv");
+                                        std::uint32_t notice, bool lost,
+                                        int hops) {
+  // A span over the list's own buffer stays valid while this handler
+  // stores new notices (ctx.notices may reallocate; its lists do not).
+  const std::span<const DestIndex> dests = ctx.notices[notice];
+  obs::count(kMsgsRecv);
   obs::trace_event(ctx.sim.now(), obs::TraceKind::kMsgRecv, at.value(),
                    neighbor.value(), dests.size(),
                    lost ? "anp_lost" : "anp_ok");

@@ -149,6 +149,9 @@ class AnpSimulation final : public ProtocolSimulation {
     std::map<std::tuple<std::uint32_t, std::uint32_t, DestIndex>,
              std::uint64_t>
         newest;
+    /// Every notice's destination list, stored once per run; closures and
+    /// handlers refer to a list by its index.
+    std::vector<std::vector<DestIndex>> notices;
   };
 
   void init_context(RunContext& ctx);
@@ -165,17 +168,20 @@ class AnpSimulation final : public ProtocolSimulation {
   /// notify_children mode, every live switch child — except `exclude`.
   void send_notification(RunContext& ctx, SwitchId from, NodeId exclude,
                          std::vector<DestIndex> dests, bool lost, int hops);
-  /// One notification over one adjacency, via the transport when reliable.
+  /// Stores a notice's destination list for the rest of the run and
+  /// returns its index in RunContext::notices.
+  static std::uint32_t store_notice(RunContext& ctx,
+                                    std::vector<DestIndex> dests);
+  /// One notification of stored list `notice` over one adjacency, via the
+  /// transport when reliable.
   void transmit_notification(RunContext& ctx, SwitchId from,
                              const Topology::Neighbor& nb,
-                             const std::vector<DestIndex>& dests, bool lost,
-                             int hops);
+                             std::uint32_t notice, bool lost, int hops);
   /// Adjacency (re-)establishment summary: see AnpOptions::adjacency_resync.
   void send_resync(RunContext& ctx, SwitchId from,
                    const Topology::Neighbor& peer);
   void handle_notification(RunContext& ctx, SwitchId at, SwitchId neighbor,
-                           std::uint64_t seq,
-                           const std::vector<DestIndex>& dests, bool lost,
+                           std::uint64_t seq, std::uint32_t notice, bool lost,
                            int hops);
   void detect_failure(RunContext& ctx, SwitchId s, LinkId link);
   void detect_recovery(RunContext& ctx, SwitchId s, LinkId link);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -15,6 +14,14 @@
 #include "src/util/status.h"
 
 namespace aspen {
+
+namespace {
+
+const obs::Counter kLsaInstalls{"lsp.lsa_installs"};
+const obs::Counter kMsgsSent{"lsp.msgs_sent"};
+const obs::Counter kStaleSwitches{"lsp.stale_switches"};
+
+}  // namespace
 
 LspSimulation::LspSimulation(const Topology& topo, DelayModel delays,
                              DestGranularity granularity)
@@ -137,105 +144,18 @@ FailureReport LspSimulation::simulate_timed_events(
   // slot, serialized CPUs, hop counters on LSAs.  A changed switch flips to
   // the post-run routes once it has heard at least one origin of *every*
   // record (for a single link event: its first new LSA, as before).
-  Simulator sim;
-  ChannelModel channel(delays_.channel);
-  std::optional<ReliableTransport> transport;
-  if (delays_.channel.reliable) {
-    transport.emplace(sim, channel, delays_.retransmit);
-  }
-  std::vector<CpuQueue> cpus(topo.num_switches());
-  std::vector<std::size_t> slot_base(records.size(), 0);
-  std::size_t num_slots = 0;
-  std::size_t required = 0;
+  std::vector<std::uint32_t> slot_base(records.size(), 0);
+  std::uint32_t num_slots = 0;
+  std::uint32_t required = 0;
   for (std::size_t r = 0; r < records.size(); ++r) {
     slot_base[r] = num_slots;
-    num_slots += records[r].origins.size();
+    num_slots += static_cast<std::uint32_t>(records[r].origins.size());
     if (!records[r].origins.empty()) ++required;
   }
-  std::vector<std::vector<char>> seen(topo.num_switches(),
-                                      std::vector<char>(num_slots, 0));
-  std::vector<std::vector<char>> record_heard(
-      topo.num_switches(), std::vector<char>(records.size(), 0));
-  std::vector<std::size_t> records_heard(topo.num_switches(), 0);
-  std::vector<SimTime> table_change_time(topo.num_switches(), -1.0);
-  std::vector<int> table_change_hops(topo.num_switches(), 0);
-  FailureReport report;
-
-  const auto install = [&](SwitchId at, std::size_t slot, std::size_t rec,
-                           int hops) {
-    ASPEN_ASSERT(slot < num_slots, "LSA slot out of range");
-    ASPEN_ASSERT(plane_.is_alive(at), "a crashed switch cannot install LSAs");
-    obs::count("lsp.lsa_installs");
-    obs::trace_event(sim.now(), obs::TraceKind::kMsgRecv, at.value(), 0, slot,
-                     "lsp");
-    seen[at.value()][slot] = 1;
-    if (!record_heard[at.value()][rec]) {
-      record_heard[at.value()][rec] = 1;
-      ++records_heard[at.value()];
-    }
-    if (changes[at.value()] && records_heard[at.value()] == required &&
-        table_change_time[at.value()] < 0) {
-      // Routes install only after the SPF hold-down; flooding is not held
-      // (OSPF's fast-flood/slow-SPF split).
-      table_change_time[at.value()] = sim.now() + delays_.spf_delay;
-      table_change_hops[at.value()] = hops;
-    }
-  };
-
-  // Flood `slot`'s LSA out of `from` on every live link except the one it
-  // arrived on.
-  const std::function<void(SwitchId, LinkId, std::size_t, std::size_t, int)>
-      flood = [&](SwitchId from, LinkId arrival_link, std::size_t slot,
-                  std::size_t rec, int hops) {
-        const auto forward = [&](const Topology::Neighbor& nb) {
-          if (nb.link == arrival_link) return;
-          if (!overlay().is_up(nb.link)) return;
-          if (!topo.is_switch_node(nb.node)) return;  // hosts do not flood
-          const SwitchId dst = topo.switch_of(nb.node);
-          ++report.messages_sent;
-          obs::count("lsp.msgs_sent");
-          obs::trace_event(sim.now(), obs::TraceKind::kMsgSend, from.value(),
-                           dst.value(), slot, "lsp");
-          auto deliver = [&, dst, slot, rec, hops, via = nb.link] {
-            if (!plane_.is_alive(dst)) return;  // crashed while in flight
-            const bool is_new = !seen[dst.value()][slot];
-            const SimTime cost = is_new ? delays_.lsa_processing
-                                        : delays_.lsa_duplicate_processing;
-            const SimTime done = cpus[dst.value()].occupy(sim.now(), cost);
-            sim.schedule_at(done, [&, dst, slot, rec, hops, via] {
-              // Re-check at processing completion: a copy that raced in
-              // while this one sat on the CPU may have installed it first;
-              // the switch may also have crashed while the copy queued.
-              if (!plane_.is_alive(dst)) return;
-              if (seen[dst.value()][slot]) return;
-              install(dst, slot, rec, hops + 1);
-              flood(dst, via, slot, rec, hops + 1);
-            });
-          };
-          // LSAs ride the same physical links as data, so gray/flapping
-          // health eats flood copies too (0 on healthy links, no Rng draw).
-          if (transport) {
-            transport->send(
-                delays_.propagation, std::move(deliver),
-                [&, link = nb.link, from] {
-                  return overlay().is_up(link) && plane_.is_alive(from);
-                },
-                [&, dst] { return plane_.is_alive(dst); },
-                [&, link = nb.link] {
-                  return overlay().loss_now(link, sim.now());
-                });
-          } else {
-            channel.transmit(sim, delays_.propagation, std::move(deliver),
-                             overlay().loss_now(nb.link, sim.now()));
-          }
-        };
-        for (const Topology::Neighbor& nb : topo.up_neighbors(from)) {
-          forward(nb);
-        }
-        for (const Topology::Neighbor& nb : topo.down_neighbors(from)) {
-          forward(nb);
-        }
-      };
+  FloodRun flood(*this, changes, num_slots,
+                 static_cast<std::uint32_t>(records.size()), required);
+  Simulator& sim = flood.sim;
+  FailureReport& report = flood.report;
 
   // ---- Apply the schedule.  State mutations land at event times (t=0
   // immediately, keeping single-event runs identical to the pre-chaos code
@@ -270,19 +190,12 @@ FailureReport LspSimulation::simulate_timed_events(
   for (std::size_t r = 0; r < records.size(); ++r) {
     for (std::size_t j = 0; j < records[r].origins.size(); ++j) {
       const SwitchId origin = records[r].origins[j];
-      const std::size_t slot = slot_base[r] + j;
+      const std::uint32_t slot = slot_base[r] + static_cast<std::uint32_t>(j);
+      const auto rec = static_cast<std::uint32_t>(r);
       const SimTime when =
           records[r].at + delays_.detection + delays_.lsa_generation_delay;
-      sim.schedule_at(when, [&, origin, slot, r] {
-        if (!plane_.is_alive(origin)) return;  // crashed before detecting
-        const SimTime done =
-            cpus[origin.value()].occupy(sim.now(), delays_.lsa_processing);
-        sim.schedule_at(done, [&, origin, slot, r] {
-          if (!plane_.is_alive(origin)) return;  // crashed mid-origination
-          if (seen[origin.value()][slot]) return;
-          install(origin, slot, r, 0);
-          flood(origin, LinkId::invalid(), slot, r, 0);
-        });
+      sim.schedule_at(when, [run = &flood, origin, slot, rec] {
+        run->originate(origin, slot, rec);
       });
     }
   }
@@ -292,7 +205,8 @@ FailureReport LspSimulation::simulate_timed_events(
   report.quiesced = run.completed;
   report.detection_ms = delays_.detection;
   for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
-    if (std::ranges::any_of(seen[s], [](char c) { return c != 0; })) {
+    if (std::ranges::any_of(flood.seen_row(s),
+                            [](char c) { return c != 0; })) {
       ++report.switches_informed;
     }
   }
@@ -300,8 +214,8 @@ FailureReport LspSimulation::simulate_timed_events(
                                        FailureReport::kNoChange);
   for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
     if (!changes[s]) continue;
-    if (table_change_time[s] >= 0.0) {
-      ASPEN_ASSERT(records_heard[s] == required,
+    if (flood.table_change_time[s] >= 0.0) {
+      ASPEN_ASSERT(flood.records_heard[s] == required,
                    "switch flipped tables before hearing every record");
       if (narrow[s]) {
         for (const std::uint64_t d : rewritten) {
@@ -317,12 +231,12 @@ FailureReport LspSimulation::simulate_timed_events(
         tables_.digests[s] = converged_.digests[s];
       }
       in_sync_[s] = 1;
-      report.table_change_completed[s] = table_change_time[s];
+      report.table_change_completed[s] = flood.table_change_time[s];
       ++report.switches_reacted;
       report.convergence_time_ms =
-          std::max(report.convergence_time_ms, table_change_time[s]);
+          std::max(report.convergence_time_ms, flood.table_change_time[s]);
       report.max_update_hops =
-          std::max(report.max_update_hops, table_change_hops[s]);
+          std::max(report.max_update_hops, flood.table_change_hops[s]);
     } else {
       ASPEN_CHECK(!strict, "switch ", s,
                   " needs new routes but never heard an LSA");
@@ -330,17 +244,18 @@ FailureReport LspSimulation::simulate_timed_events(
       // miss the news.  Its tables stay stale; the next run's diff will
       // mark it changed again, so a later flood heals it.
       ++report.stale_switches;
-      obs::count("lsp.stale_switches");
+      obs::count(kStaleSwitches);
     }
   }
   // converged_ is the next run's incremental base.  An incomplete bounded
   // run can leave scheduled fault applications unexecuted (the plane then
   // lags the previewed future), so only a completed run keeps it valid.
   converged_synced_ = run.completed;
-  const ChannelStats& ch = channel.stats();
+  const ChannelStats& ch = flood.channel.stats();
   report.channel_dropped = ch.dropped;
   report.health_dropped = ch.health_dropped;
   report.channel_duplicated = ch.duplicated;
+  const std::optional<ReliableTransport>& transport = flood.transport;
   if (transport) {
     const TransportStats& tr = transport->stats();
     report.retransmits = tr.retransmits;
@@ -363,6 +278,132 @@ FailureReport LspSimulation::simulate_timed_events(
     contracts::enforce(self_audit, "lsp self-audit");
   }
   return report;
+}
+
+// ---- FloodRun ---------------------------------------------------------
+
+LspSimulation::FloodRun::FloodRun(LspSimulation& owner,
+                                  const std::vector<char>& changed,
+                                  std::uint32_t slots, std::uint32_t records,
+                                  std::uint32_t required_records)
+    : lsp(owner),
+      topo(*owner.topo_),
+      delays(owner.delays_),
+      channel(owner.delays_.channel),
+      changes(changed),
+      num_slots(slots),
+      num_records(records),
+      required(required_records) {
+  if (delays.channel.reliable) {
+    transport.emplace(sim, channel, delays.retransmit);
+  }
+  const std::size_t switches = topo.num_switches();
+  cpus.resize(switches);
+  seen.assign(switches * num_slots, 0);
+  record_heard.assign(switches * num_records, 0);
+  records_heard.assign(switches, 0);
+  table_change_time.assign(switches, -1.0);
+  table_change_hops.assign(switches, 0);
+}
+
+void LspSimulation::FloodRun::originate(SwitchId origin, std::uint32_t slot,
+                                        std::uint32_t rec) {
+  if (!lsp.plane_.is_alive(origin)) return;  // crashed before detecting
+  const SimTime done =
+      cpus[origin.value()].occupy(sim.now(), delays.lsa_processing);
+  sim.schedule_at(done, [run = this, origin, slot, rec] {
+    if (!run->lsp.plane_.is_alive(origin)) return;  // crashed mid-origination
+    if (run->seen_at(origin, slot)) return;
+    run->install(origin, slot, rec, 0);
+    run->flood(origin, LinkId::invalid(), slot, rec, 0);
+  });
+}
+
+void LspSimulation::FloodRun::install(SwitchId at, std::uint32_t slot,
+                                      std::uint32_t rec, int hops) {
+  ASPEN_ASSERT(slot < num_slots, "LSA slot out of range");
+  ASPEN_ASSERT(lsp.plane_.is_alive(at),
+               "a crashed switch cannot install LSAs");
+  obs::count(kLsaInstalls);
+  obs::trace_event(sim.now(), obs::TraceKind::kMsgRecv, at.value(), 0, slot,
+                   "lsp");
+  seen_at(at, slot) = 1;
+  char& heard = record_heard[std::size_t{at.value()} * num_records + rec];
+  if (!heard) {
+    heard = 1;
+    ++records_heard[at.value()];
+  }
+  if (changes[at.value()] && records_heard[at.value()] == required &&
+      table_change_time[at.value()] < 0) {
+    // Routes install only after the SPF hold-down; flooding is not held
+    // (OSPF's fast-flood/slow-SPF split).
+    table_change_time[at.value()] = sim.now() + delays.spf_delay;
+    table_change_hops[at.value()] = hops;
+  }
+}
+
+void LspSimulation::FloodRun::flood(SwitchId from, LinkId arrival_link,
+                                    std::uint32_t slot, std::uint32_t rec,
+                                    int hops) {
+  for (const Topology::Neighbor& nb : topo.up_neighbors(from)) {
+    forward(from, arrival_link, nb, slot, rec, hops);
+  }
+  for (const Topology::Neighbor& nb : topo.down_neighbors(from)) {
+    forward(from, arrival_link, nb, slot, rec, hops);
+  }
+}
+
+void LspSimulation::FloodRun::forward(SwitchId from, LinkId arrival_link,
+                                      const Topology::Neighbor& nb,
+                                      std::uint32_t slot, std::uint32_t rec,
+                                      int hops) {
+  if (nb.link == arrival_link) return;
+  const LinkStateOverlay& overlay = lsp.overlay();
+  if (!overlay.is_up(nb.link)) return;
+  if (!topo.is_switch_node(nb.node)) return;  // hosts do not flood
+  const SwitchId dst = topo.switch_of(nb.node);
+  ++report.messages_sent;
+  obs::count(kMsgsSent);
+  obs::trace_event(sim.now(), obs::TraceKind::kMsgSend, from.value(),
+                   dst.value(), slot, "lsp");
+  auto deliver = [run = this, dst, slot, rec, hops, via = nb.link] {
+    run->arrive(dst, slot, rec, hops, via);
+  };
+  // LSAs ride the same physical links as data, so gray/flapping health
+  // eats flood copies too (0 on healthy links, no Rng draw).
+  if (transport) {
+    transport->send(
+        delays.propagation, std::move(deliver),
+        [run = this, link = nb.link, from] {
+          return run->lsp.overlay().is_up(link) &&
+                 run->lsp.plane_.is_alive(from);
+        },
+        [run = this, dst] { return run->lsp.plane_.is_alive(dst); },
+        [run = this, link = nb.link] {
+          return run->lsp.overlay().loss_now(link, run->sim.now());
+        });
+  } else {
+    channel.transmit(sim, delays.propagation, std::move(deliver),
+                     overlay.loss_now(nb.link, sim.now()));
+  }
+}
+
+void LspSimulation::FloodRun::arrive(SwitchId dst, std::uint32_t slot,
+                                     std::uint32_t rec, int hops,
+                                     LinkId via) {
+  if (!lsp.plane_.is_alive(dst)) return;  // crashed while in flight
+  const SimTime cost = seen_at(dst, slot) ? delays.lsa_duplicate_processing
+                                          : delays.lsa_processing;
+  const SimTime done = cpus[dst.value()].occupy(sim.now(), cost);
+  sim.schedule_at(done, [run = this, dst, slot, rec, hops, via] {
+    // Re-check at processing completion: a copy that raced in while this
+    // one sat on the CPU may have installed it first; the switch may also
+    // have crashed while the copy queued.
+    if (!run->lsp.plane_.is_alive(dst)) return;
+    if (run->seen_at(dst, slot)) return;
+    run->install(dst, slot, rec, hops + 1);
+    run->flood(dst, via, slot, rec, hops + 1);
+  });
 }
 
 }  // namespace aspen

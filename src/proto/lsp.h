@@ -38,12 +38,15 @@
 // in lsp_full.h models per-switch views exactly, for single events).
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/proto/protocol.h"
 #include "src/proto/report.h"
 #include "src/routing/updown.h"
+#include "src/sim/channel.h"
 #include "src/sim/simulator.h"
 #include "src/topo/link_state.h"
 #include "src/topo/topology.h"
@@ -65,6 +68,60 @@ class LspSimulation final : public ProtocolSimulation {
   [[nodiscard]] const RoutingState& tables() const override { return tables_; }
 
  private:
+  /// One flood run's simulator, medium and per-switch flood state.  Every
+  /// closure the run schedules carries a pointer to it plus the LSA's
+  /// (switch, slot, record, hops, arrival link), so each fits the
+  /// simulator's inline capture.  Holds pointers into itself (the
+  /// transport), so it never moves.
+  struct FloodRun {
+    FloodRun(LspSimulation& owner, const std::vector<char>& changed,
+             std::uint32_t slots, std::uint32_t records,
+             std::uint32_t required_records);
+    FloodRun(const FloodRun&) = delete;
+    FloodRun& operator=(const FloodRun&) = delete;
+
+    /// `origin`'s own LSA for `slot`: detection fired, SPF starts.
+    void originate(SwitchId origin, std::uint32_t slot, std::uint32_t rec);
+    void install(SwitchId at, std::uint32_t slot, std::uint32_t rec,
+                 int hops);
+    /// Floods `slot`'s LSA out of `from` on every live link except the one
+    /// it arrived on.
+    void flood(SwitchId from, LinkId arrival_link, std::uint32_t slot,
+               std::uint32_t rec, int hops);
+    void forward(SwitchId from, LinkId arrival_link,
+                 const Topology::Neighbor& nb, std::uint32_t slot,
+                 std::uint32_t rec, int hops);
+    /// A copy reached `dst` over `via`: queue it on dst's CPU.
+    void arrive(SwitchId dst, std::uint32_t slot, std::uint32_t rec, int hops,
+                LinkId via);
+
+    char& seen_at(SwitchId s, std::uint32_t slot) {
+      return seen[std::size_t{s.value()} * num_slots + slot];
+    }
+    [[nodiscard]] std::span<const char> seen_row(std::uint32_t s) const {
+      return {seen.data() + std::size_t{s} * num_slots, num_slots};
+    }
+
+    LspSimulation& lsp;
+    const Topology& topo;
+    const DelayModel& delays;
+    Simulator sim;
+    ChannelModel channel;
+    /// Present when DelayModel::channel.reliable.
+    std::optional<ReliableTransport> transport;
+    std::vector<CpuQueue> cpus;
+    const std::vector<char>& changes;  ///< per switch: needs new routes
+    std::uint32_t num_slots;    ///< one slot per (record, origin)
+    std::uint32_t num_records;  ///< fault events that flipped a link
+    std::uint32_t required;     ///< records with at least one origin
+    std::vector<char> seen;          ///< [switch * num_slots + slot]
+    std::vector<char> record_heard;  ///< [switch * num_records + record]
+    std::vector<std::uint32_t> records_heard;  ///< per switch
+    std::vector<SimTime> table_change_time;    ///< per switch, -1: none
+    std::vector<int> table_change_hops;        ///< per switch
+    FailureReport report;
+  };
+
   DelayModel delays_;
   DestGranularity granularity_;
   RoutingState tables_;

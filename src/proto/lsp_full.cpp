@@ -8,6 +8,13 @@
 
 namespace aspen {
 
+namespace {
+
+const obs::Counter kMsgsSent{"lsp_full.msgs_sent"};
+const obs::Counter kLsaInstalls{"lsp_full.lsa_installs"};
+
+}  // namespace
+
 LspLsdbSimulation::LspLsdbSimulation(const Topology& topo, DelayModel delays,
                                      DestGranularity granularity)
     : ProtocolSimulation(topo), delays_(delays), granularity_(granularity) {
@@ -45,7 +52,7 @@ void LspLsdbSimulation::transmit(RunContext& ctx, SwitchId from,
     if (!topo_->is_switch_node(nb.node)) return;
     const SwitchId peer = topo_->switch_of(nb.node);
     ++ctx.report.messages_sent;
-    obs::count("lsp_full.msgs_sent");
+    obs::count(kMsgsSent);
     obs::trace_event(ctx.sim.now(), obs::TraceKind::kMsgSend, from.value(),
                      peer.value(), lsa.seq, "lsp_full");
     Lsa hopped = lsa;
@@ -79,7 +86,7 @@ void LspLsdbSimulation::install_and_flood(RunContext& ctx, SwitchId at,
   const auto it = st.highest_seq.find(lsa.origin);
   if (it != st.highest_seq.end() && it->second >= lsa.seq) return;  // stale
   ASPEN_ASSERT(lsa.seq >= 1, "LSA sequence numbers start at 1");
-  obs::count("lsp_full.lsa_installs");
+  obs::count(kLsaInstalls);
   obs::trace_event(ctx.sim.now(), obs::TraceKind::kMsgRecv, at.value(),
                    lsa.origin, lsa.seq, "lsp_full");
   st.highest_seq[lsa.origin] = lsa.seq;

@@ -15,6 +15,12 @@ namespace aspen {
 
 namespace {
 
+const obs::Counter kFullRecomputes{"routing.full_recomputes"};
+const obs::Counter kRowsFullRecompute{"routing.rows_full_recompute"};
+const obs::Counter kIncrementalPatches{"routing.incremental_patches"};
+const obs::Counter kRowsEscalated{"routing.rows_escalated"};
+const obs::Counter kRowsPatched{"routing.rows_patched"};
+
 constexpr int kInf = std::numeric_limits<int>::max() / 2;
 constexpr int kUnreachable = RoutingTables::kUnreachable;
 
@@ -284,8 +290,8 @@ RoutingState compute_updown_routes(const Topology& topo,
   // Emitted once per computation, after the worker pool joins — never from
   // inside the parallel loop — so traces stay byte-identical across thread
   // counts (the golden-trace determinism contract).
-  obs::count("routing.full_recomputes");
-  obs::count("routing.rows_full_recompute", num_dests);
+  obs::count(kFullRecomputes);
+  obs::count(kRowsFullRecompute, num_dests);
   obs::trace_event(0.0, obs::TraceKind::kRouteFull,
                    static_cast<std::uint32_t>(topo.num_switches()), 0,
                    num_dests,
@@ -330,10 +336,10 @@ RecomputeStats recompute_updown_routes(const Topology& topo,
   // metric bump and one trace record per recompute call, keeping the event
   // stream independent of the thread count.
   const auto note_patch = [&] {
-    obs::count("routing.incremental_patches");
-    obs::count("routing.rows_full_recompute", stats.full_rows);
-    obs::count("routing.rows_escalated", stats.escalated_rows);
-    obs::count("routing.rows_patched", stats.patched_switches);
+    obs::count(kIncrementalPatches);
+    obs::count(kRowsFullRecompute, stats.full_rows);
+    obs::count(kRowsEscalated, stats.escalated_rows);
+    obs::count(kRowsPatched, stats.patched_switches);
     obs::trace_event(0.0, obs::TraceKind::kRoutePatch,
                      static_cast<std::uint32_t>(changed_links.size()),
                      static_cast<std::uint32_t>(stats.patched_switches),

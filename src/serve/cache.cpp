@@ -8,6 +8,14 @@
 
 namespace aspen::serve {
 
+namespace {
+
+const obs::Counter kCacheMiss{"serve.cache.miss"};
+const obs::Counter kCacheHit{"serve.cache.hit"};
+const obs::Counter kCacheEvict{"serve.cache.evict"};
+
+}  // namespace
+
 ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {
   ASPEN_REQUIRE(capacity_ > 0, "result cache capacity must be positive");
 }
@@ -17,11 +25,11 @@ const QueryResult* ResultCache::find(std::uint64_t digest,
   const auto it = entries_.find(Key{digest, query_fp});
   if (it == entries_.end()) {
     ++misses_;
-    obs::count("serve.cache.miss");
+    obs::count(kCacheMiss);
     return nullptr;
   }
   ++hits_;
-  obs::count("serve.cache.hit");
+  obs::count(kCacheHit);
   return &it->second;
 }
 
@@ -37,7 +45,7 @@ void ResultCache::insert(std::uint64_t digest, std::uint64_t query_fp,
     order_.erase(order_.begin());
     entries_.erase(oldest);
     ++evictions_;
-    obs::count("serve.cache.evict");
+    obs::count(kCacheEvict);
   }
 }
 

@@ -52,16 +52,17 @@ std::uint64_t Client::submit(Request request, Callback callback) {
 void Client::send_attempt(std::uint64_t id) {
   const PendingQuery& pending = pending_.at(id);
   ++stats_.frames_sent;
-  const std::string frame = encode_request(pending.request);
+  std::string frame = encode_request(pending.request);
   // The request rides the lossy channel to the server; the server's reply
   // callback rides the same channel back.  Either leg may drop or
   // duplicate — that is what the retry loop and the server's dedup table
   // are for.
-  channel_.transmit(*sim_, options_.net_delay_ms, [this, frame] {
+  channel_.transmit(*sim_, options_.net_delay_ms,
+                    [this, frame = std::move(frame)] {
     server_->handle_frame(frame, [this](const std::string& response_frame) {
       channel_.transmit(*sim_, options_.net_delay_ms,
-                        [this, response_frame] {
-                          on_response_frame(response_frame);
+                        [this, response = response_frame] {
+                          on_response_frame(response);
                         });
     });
   });

@@ -14,6 +14,8 @@ namespace aspen::serve {
 
 namespace {
 
+const obs::Counter kCheckpoints{"serve.checkpoints"};
+
 /// Time slack for matching virtual-time instants reconstructed from
 /// `seal_time + staleness` against the recorded timeline.
 constexpr double kAuditEpsilonMs = 1e-6;
@@ -218,9 +220,8 @@ ServeChaosReport run_serve_under_chaos(ProtocolKind kind,
     });
   }
 
-  // Pre-draw every query from its own derived stream, then schedule the
-  // submissions.  Drawing up front keeps the stream independent of event
-  // interleaving by construction.
+  // Queries draw from their own derived stream, which nothing else reads,
+  // so the stream is independent of event interleaving by construction.
   Rng query_rng(
       fault::derive_stream_seed(options.chaos.seed,
                                 fault::kStreamServeQueries));
@@ -228,10 +229,7 @@ ServeChaosReport run_serve_under_chaos(ProtocolKind kind,
   const std::size_t links = static_cast<std::size_t>(topo.num_links());
   ASPEN_REQUIRE(hosts >= 2, "serve campaign needs at least two hosts");
   std::uint64_t answered_so_far = 0;
-  for (int q = 0; q < options.num_queries; ++q) {
-    const double arrival =
-        (static_cast<double>(q) + 1.0) * options.query_interarrival_ms +
-        kQueryPhaseMs;
+  const auto draw = [&](double arrival) {
     Request req;
     const std::size_t roll = query_rng.index(1000);
     if (roll < static_cast<std::size_t>(options.whatif_permille)) {
@@ -259,66 +257,78 @@ ServeChaosReport run_serve_under_chaos(ProtocolKind kind,
     if (options.deadline_ms > 0.0) {
       req.deadline_ms = arrival + options.deadline_ms;
     }
-    Client* client =
-        clients[static_cast<std::size_t>(q) % clients.size()].get();
-    sim.schedule_at(arrival, [client, req, arrival, &report, &server,
-                              &answered_so_far, &options, &sim] {
-      client->submit(req, [arrival, kind = req.kind, &report, &server,
-                           &answered_so_far, &options,
-                           &sim](const Outcome& outcome) {
-        if (!outcome.got_response) {
-          ++report.gave_up;
-          return;
-        }
-        report.response_stream_hash =
-            fold_response(report.response_stream_hash, outcome.response);
-        switch (outcome.response.status) {
-          case ResponseStatus::kOk: {
-            ++report.answered;
-            const double latency = sim.now() - arrival;
-            switch (kind) {
-              case QueryKind::kRoute:
-                report.route_latency_ms.push_back(latency);
-                break;
-              case QueryKind::kWhatIf:
-                report.what_if_latency_ms.push_back(latency);
-                break;
-              case QueryKind::kLoss:
-                report.loss_latency_ms.push_back(latency);
-                break;
-            }
-            report.staleness_event_samples.push_back(
-                outcome.response.staleness_events);
-            report.staleness_ms.add(outcome.response.staleness_ms);
-            obs::observe("serve.staleness_events",
-                         static_cast<double>(
-                             outcome.response.staleness_events));
-            ++answered_so_far;
-            if (options.checkpoint_every > 0 &&
-                answered_so_far %
-                        static_cast<std::uint64_t>(
-                            options.checkpoint_every) ==
-                    0) {
-              report.checkpoints.push_back(server.checkpoint());
-              ++report.checkpoints_cut;
-              obs::count("serve.checkpoints");
-              obs::trace_event(
-                  sim.now(), obs::TraceKind::kServeCheckpoint,
-                  static_cast<std::uint32_t>(report.checkpoints_cut), 0,
-                  server.stats().completed, "checkpoint");
-            }
-            break;
+    return req;
+  };
+  // Query q is drawn when it arrives, at its scheduled time sim.now().
+  // Arrival times grow with q, so the draws run in query order, exactly
+  // as if every query were drawn up front.
+  const auto submit = [&](std::size_t q) {
+    const double arrival = sim.now();
+    const Request req = draw(arrival);
+    Client* client = clients[q % clients.size()].get();
+    client->submit(req, [arrival, kind = req.kind, &report, &server,
+                         &answered_so_far, &options,
+                         &sim](const Outcome& outcome) {
+      if (!outcome.got_response) {
+        ++report.gave_up;
+        return;
+      }
+      report.response_stream_hash =
+          fold_response(report.response_stream_hash, outcome.response);
+      switch (outcome.response.status) {
+        case ResponseStatus::kOk: {
+          ++report.answered;
+          const double latency = sim.now() - arrival;
+          switch (kind) {
+            case QueryKind::kRoute:
+              report.route_latency_ms.push_back(latency);
+              break;
+            case QueryKind::kWhatIf:
+              report.what_if_latency_ms.push_back(latency);
+              break;
+            case QueryKind::kLoss:
+              report.loss_latency_ms.push_back(latency);
+              break;
           }
-          case ResponseStatus::kDeadlineExceeded:
-            ++report.rejected_deadline;
-            break;
-          case ResponseStatus::kMalformed:
-            ++report.rejected_malformed;
-            break;
-          case ResponseStatus::kShed:
-            break;  // unreachable: clients retry through SHED
+          report.staleness_event_samples.push_back(
+              outcome.response.staleness_events);
+          report.staleness_ms.add(outcome.response.staleness_ms);
+          obs::observe("serve.staleness_events",
+                       static_cast<double>(
+                           outcome.response.staleness_events));
+          ++answered_so_far;
+          if (options.checkpoint_every > 0 &&
+              answered_so_far %
+                      static_cast<std::uint64_t>(
+                          options.checkpoint_every) ==
+                  0) {
+            report.checkpoints.push_back(server.checkpoint());
+            ++report.checkpoints_cut;
+            obs::count(kCheckpoints);
+            obs::trace_event(
+                sim.now(), obs::TraceKind::kServeCheckpoint,
+                static_cast<std::uint32_t>(report.checkpoints_cut), 0,
+                server.stats().completed, "checkpoint");
+          }
+          break;
         }
-      });
+        case ResponseStatus::kDeadlineExceeded:
+          ++report.rejected_deadline;
+          break;
+        case ResponseStatus::kMalformed:
+          ++report.rejected_malformed;
+          break;
+        case ResponseStatus::kShed:
+          break;  // unreachable: clients retry through SHED
+      }
+    });
+  };
+  for (int q = 0; q < options.num_queries; ++q) {
+    const double arrival =
+        (static_cast<double>(q) + 1.0) * options.query_interarrival_ms +
+        kQueryPhaseMs;
+    sim.schedule_at(arrival, [&submit, q = static_cast<std::size_t>(q)] {
+      submit(q);
     });
   }
 

@@ -17,6 +17,16 @@ namespace aspen::serve {
 
 namespace {
 
+const obs::Counter kRequests{"serve.requests"};
+const obs::Counter kMalformed{"serve.malformed"};
+const obs::Counter kDuplicateReplays{"serve.duplicate_replays"};
+const obs::Counter kCoalesced{"serve.coalesced"};
+const obs::Counter kShed{"serve.shed"};
+const obs::Counter kDeadlineRejected{"serve.deadline_rejected"};
+const obs::Counter kAdmitted{"serve.admitted"};
+const obs::Counter kCompleted{"serve.completed"};
+const obs::Counter kResumes{"serve.resumes"};
+
 constexpr const char* kCheckpointMagic = "ASPNSRVE1";
 
 /// Most flows a single kLoss query may sample — bounds per-query CPU.
@@ -190,7 +200,7 @@ void Server::reply_with(const Response& response, const Reply& reply) {
 
 void Server::handle_frame(const std::string& frame, Reply reply) {
   ++stats_.received;
-  obs::count("serve.requests");
+  obs::count(kRequests);
 
   Request req;
   bool shaped = decode_request(frame, req);
@@ -213,7 +223,7 @@ void Server::handle_frame(const std::string& frame, Reply reply) {
   }
   if (!shaped) {
     ++stats_.malformed;
-    obs::count("serve.malformed");
+    obs::count(kMalformed);
     obs::trace_event(sim_->now(), obs::TraceKind::kServeRequest, lo32(req.id),
                      static_cast<std::uint32_t>(req.kind), req.id,
                      "malformed");
@@ -231,7 +241,7 @@ void Server::handle_frame(const std::string& frame, Reply reply) {
       // Idempotent replay: the stored bytes, not a re-execution — a retry
       // of a completed request can never double-apply or relabel.
       ++stats_.duplicate_replays;
-      obs::count("serve.duplicate_replays");
+      obs::count(kDuplicateReplays);
       obs::trace_event(sim_->now(), obs::TraceKind::kServeRequest,
                        lo32(req.id), static_cast<std::uint32_t>(req.kind),
                        req.id, "replay");
@@ -241,7 +251,7 @@ void Server::handle_frame(const std::string& frame, Reply reply) {
     }
     // Original still executing: this retry coalesces onto it.
     ++stats_.coalesced;
-    obs::count("serve.coalesced");
+    obs::count(kCoalesced);
     obs::trace_event(sim_->now(), obs::TraceKind::kServeRequest, lo32(req.id),
                      static_cast<std::uint32_t>(req.kind), req.id,
                      "coalesce");
@@ -251,7 +261,7 @@ void Server::handle_frame(const std::string& frame, Reply reply) {
 
   if (in_flight_ >= options_.inflight_watermark) {
     ++stats_.shed;
-    obs::count("serve.shed");
+    obs::count(kShed);
     obs::trace_event(sim_->now(), obs::TraceKind::kServeRequest, lo32(req.id),
                      static_cast<std::uint32_t>(req.kind), req.id, "shed");
     Response r;
@@ -267,7 +277,7 @@ void Server::handle_frame(const std::string& frame, Reply reply) {
   const double finish = start + service;
   if (req.deadline_ms > 0.0 && finish > req.deadline_ms) {
     ++stats_.deadline_rejected;
-    obs::count("serve.deadline_rejected");
+    obs::count(kDeadlineRejected);
     obs::trace_event(sim_->now(), obs::TraceKind::kServeRequest, lo32(req.id),
                      static_cast<std::uint32_t>(req.kind), req.id,
                      "deadline");
@@ -281,7 +291,7 @@ void Server::handle_frame(const std::string& frame, Reply reply) {
 
   ++stats_.admitted;
   ++in_flight_;
-  obs::count("serve.admitted");
+  obs::count(kAdmitted);
   obs::gauge_set("serve.in_flight", static_cast<double>(in_flight_));
   obs::trace_event(sim_->now(), obs::TraceKind::kServeRequest, lo32(req.id),
                    static_cast<std::uint32_t>(req.kind), req.id, "admit");
@@ -325,7 +335,7 @@ void Server::complete(std::uint64_t id) {
   entry.request = Request{};  // retained only while in flight
   --in_flight_;
   ++stats_.completed;
-  obs::count("serve.completed");
+  obs::count(kCompleted);
   obs::gauge_set("serve.in_flight", static_cast<double>(in_flight_));
   obs::trace_event(sim_->now(), obs::TraceKind::kServeResponse, lo32(id),
                    r.from_cache ? 1u : 0u, r.snapshot_digest, "ok");
@@ -520,7 +530,7 @@ void Server::restore(const std::string& checkpoint_text) {
   }
   in_flight_ = 0;
   cpu_.reset();
-  obs::count("serve.resumes");
+  obs::count(kResumes);
 }
 
 }  // namespace aspen::serve

@@ -6,6 +6,12 @@
 
 namespace aspen::serve {
 
+namespace {
+
+const obs::Counter kSeals{"serve.seals"};
+
+}  // namespace
+
 SnapshotRegistry::SnapshotRegistry(const Topology& topo,
                                    DestGranularity granularity, int threads)
     : topo_(&topo), session_(topo, granularity, threads) {
@@ -26,7 +32,7 @@ const Snapshot& SnapshotRegistry::seal(const LinkStateOverlay& live,
   current_.seal_epoch = live_epoch_;
   current_.seal_time_ms = now_ms;
   ++seals_;
-  obs::count("serve.seals");
+  obs::count(kSeals);
   obs::trace_event(now_ms, obs::TraceKind::kServeSeal,
                    static_cast<std::uint32_t>(live_epoch_), 0,
                    current_.pinned->fingerprint, "seal");

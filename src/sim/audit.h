@@ -1,13 +1,15 @@
 // Event-queue invariant auditor for the discrete-event core.
 //
-// audit_queue() checks the two promises the simulator makes to every
-// protocol built on it:
+// audit_queue() checks the promises the simulator makes to every protocol
+// built on it:
 //
-//   * time monotonicity — no queued event precedes the clock; the earliest
-//     pending event (the heap top) is at or after now() (kTimeMonotonicity);
+//   * time monotonicity — no queued event precedes the clock: neither the
+//     heap top nor any lane head is before now(), and every lane is in
+//     (time, seq) order, so its head is its earliest key (kTimeMonotonicity);
 //   * queue accounting — every sequence number ever issued is either an
 //     event already processed or one still pending, so
-//     next_seq == events_processed + pending (kQueueAccounting).
+//     next_seq == events_processed + pending, and every pending key owns
+//     exactly one live action slot (kQueueAccounting).
 //
 // SimAuditPeer exists solely so tests can corrupt the private queue state
 // (schedule_at() rejects past times at the API boundary) and prove the
@@ -23,8 +25,13 @@ namespace aspen::sim {
 
 /// Test-only corruption hooks; never used by production code.
 struct SimAuditPeer {
-  /// Enqueues an event at `when` without the schedule_at() past-time guard.
+  /// Enqueues an event at `when` on the heap without the schedule_at()
+  /// past-time guard.
   static void push_unchecked(Simulator& simulator, SimTime when);
+  /// Appends an event at `when` to the first lane, keyed `delay`, without
+  /// any order or clock guard.
+  static void push_lane_unchecked(Simulator& simulator, SimTime delay,
+                                  SimTime when);
   /// Rewrites the clock without draining the queue.
   static void set_now(Simulator& simulator, SimTime now);
   /// Rewrites the processed-event counter.

@@ -12,6 +12,12 @@ namespace aspen {
 
 namespace {
 
+const obs::Counter kAdmitted{"flow.admitted"};
+const obs::Counter kAttempted{"flow.attempted"};
+const obs::Counter kDelivered{"flow.delivered"};
+const obs::Counter kLost{"flow.lost"};
+const obs::Counter kRerouted{"flow.rerouted"};
+
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -140,7 +146,7 @@ std::uint64_t FlowPlane::admit(std::span<const Flow> flows) {
     hops_.push_back(0);
     active_.push_back(index);
   }
-  obs::count("flow.admitted", flows.size());
+  obs::count(kAdmitted, flows.size());
   obs::trace_event(static_cast<double>(epoch_), obs::TraceKind::kFlowAdmit,
                    static_cast<std::uint32_t>(epoch_), 0, flows.size(),
                    "admit");
@@ -269,10 +275,10 @@ FlowStepStats FlowPlane::step(const RoutingState& knowledge,
   no_route_ += stats.no_route;
   reroutes_ += stats.reroutes;
 
-  obs::count("flow.attempted", stats.attempted);
-  obs::count("flow.delivered", stats.delivered);
-  obs::count("flow.lost", stats.lost());
-  obs::count("flow.rerouted", stats.reroutes);
+  obs::count(kAttempted, stats.attempted);
+  obs::count(kDelivered, stats.delivered);
+  obs::count(kLost, stats.lost());
+  obs::count(kRerouted, stats.reroutes);
   obs::trace_event(static_cast<double>(epoch_), obs::TraceKind::kFlowStep,
                    static_cast<std::uint32_t>(epoch_),
                    static_cast<std::uint32_t>(stats.attempted),

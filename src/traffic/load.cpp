@@ -9,6 +9,13 @@
 
 namespace aspen {
 
+namespace {
+
+const obs::Counter kFlowsUnroutable{"traffic.flows_unroutable"};
+const obs::Counter kFlowsRouted{"traffic.flows_routed"};
+
+}  // namespace
+
 LoadResult assign_load(const Topology& topo, const Router& knowledge,
                        const LinkStateOverlay& actual,
                        const std::vector<Flow>& flows,
@@ -30,7 +37,7 @@ LoadResult assign_load(const Topology& topo, const Router& knowledge,
                     walk_options);
     if (!walk.delivered()) {
       ++result.flows_unroutable;
-      obs::count("traffic.flows_unroutable");
+      obs::count(kFlowsUnroutable);
       continue;
     }
     // Recover the directed channel sequence from the node path.
@@ -58,7 +65,7 @@ LoadResult assign_load(const Topology& topo, const Router& knowledge,
     flow_links.push_back(std::move(links));
     total_path_links += static_cast<double>(flow_links.back().size());
     ++result.flows_routed;
-    obs::count("traffic.flows_routed");
+    obs::count(kFlowsRouted);
   }
 
   // Explicit loss accounting: the max-min fold below only sees routed

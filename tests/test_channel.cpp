@@ -1,6 +1,7 @@
 // Tests for the lossy channel model and the ack/retransmit transport.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/sim/channel.h"
@@ -163,6 +164,40 @@ TEST(ReliableTransport, StopsTransmittingWhenLinkGoesDown) {
   EXPECT_EQ(runs, 0);  // nothing ever crossed
   EXPECT_EQ(transport.stats().gave_up, 1u);
   EXPECT_EQ(channel.stats().attempted, 0u);  // copies never hit the wire
+}
+
+TEST(ReliableTransport, ReleasesCallablesOnceSettled) {
+  // A lossy, duplicating, jittered channel: acked messages (some with a
+  // straggler copy still on the wire) and abandoned ones.  Every message's
+  // callables must be destroyed while the transport lives on, and a
+  // straggler must still be deduplicated, not re-delivered.
+  Simulator sim;
+  ChannelOptions options;
+  options.drop_rate = 0.3;
+  options.duplicate_rate = 0.3;
+  options.jitter_ms = 0.5;
+  options.seed = 11;
+  ChannelModel channel(options);
+  RetransmitPolicy policy;
+  policy.rto_ms = 10.0;
+  policy.max_retries = 2;
+  ReliableTransport transport(sim, channel, policy);
+
+  const auto held = std::make_shared<int>(0);
+  std::vector<int> runs(200, 0);
+  for (std::size_t m = 0; m < runs.size(); ++m) {
+    transport.send(
+        0.001, [held, &runs, m] { ++runs[m]; },
+        [held] { return true; }, [held] { return true; },
+        [held] { return 0.0; });
+  }
+  EXPECT_EQ(held.use_count(), 1 + 4 * static_cast<long>(runs.size()));
+  sim.run();
+  EXPECT_EQ(held.use_count(), 1);  // every callable released
+  EXPECT_EQ(transport.in_flight(), 0u);
+  EXPECT_GT(transport.stats().gave_up, 0u);
+  EXPECT_GT(transport.stats().duplicates_dropped, 0u);
+  for (const int r : runs) EXPECT_LE(r, 1);
 }
 
 }  // namespace

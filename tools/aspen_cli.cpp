@@ -445,6 +445,16 @@ int cmd_window(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// One line naming every channel setting a run used.  A drop argument on
+/// the command line, even 0, also sets jitter and duplicates, so the rate
+/// alone does not say which channel ran.
+void print_channel(const char* label, const ChannelOptions& channel) {
+  std::printf("%s: drop %g%%, duplicate %g%%, jitter %g ms, reliable "
+              "transport %s\n",
+              label, 100.0 * channel.drop_rate, 100.0 * channel.duplicate_rate,
+              channel.jitter_ms, channel.reliable ? "on" : "off");
+}
+
 int cmd_chaos(const std::vector<std::string>& args) {
   if (args.size() < 4 || args.size() > 8) return usage();
   const Topology topo = Topology::build(
@@ -496,11 +506,11 @@ int cmd_chaos(const std::vector<std::string>& args) {
   }
   const std::uint64_t contract_violations = contracts::violation_count();
   std::printf("%s, protocol %s: %d-event chaos campaign, seed %lu, "
-              "drop rate %.0f%%, audit %s\n",
+              "audit %s\n",
               topo.describe().c_str(), args[3].c_str(), options.num_events,
               static_cast<unsigned long>(options.seed),
-              100.0 * options.delays.channel.drop_rate,
               to_cstring(options.delays.audit_level));
+  print_channel("channel", options.delays.channel);
 
   TextTable table({"metric", "value"});
   table.add_row({"link failures / recoveries",
@@ -983,11 +993,12 @@ int cmd_serve(const std::vector<std::string>& args) {
       serve::run_serve_under_chaos(kind, topo, options);
 
   std::printf("%s, protocol %s: %d queries / %d clients under a %d-event "
-              "chaos campaign, seed %lu, drop rate %.0f%%\n",
+              "chaos campaign, seed %lu\n",
               topo.describe().c_str(), args[3].c_str(), options.num_queries,
               options.num_clients, options.chaos.num_events,
-              static_cast<unsigned long>(options.chaos.seed),
-              100.0 * options.client.channel.drop_rate);
+              static_cast<unsigned long>(options.chaos.seed));
+  print_channel("client channel", options.client.channel);
+  print_channel("protocol channel", options.chaos.delays.channel);
 
   TextTable table({"metric", "value"});
   table.add_row({"answered / gave up",
