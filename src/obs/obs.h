@@ -3,9 +3,9 @@
 //
 // Cost model (the acceptance bar is bench_routing_scale within noise with
 // obs compiled in but disabled): each helper is a single load of a plain
-// global bool plus a predicted-not-taken branch — the same discipline as
-// ASPEN_LOG in src/util/log.h.  Nothing else happens until the user opts in
-// via configure(), the CLI's --metrics=/--trace= flags, or ScopedObs.
+// global bool plus a predicted-not-taken branch.  Nothing else happens
+// until the user opts in via configure(), the CLI's --metrics=/--trace=
+// flags, or ScopedObs.
 //
 // Thread model: configuration and emission are orchestrator-thread only.
 // Parallel code (the routing worker pool) must never call these helpers;

@@ -1,6 +1,7 @@
 #include "src/traffic/flow_plane.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/fault/seed.h"
 #include "src/obs/obs.h"
@@ -125,6 +126,7 @@ FlowPlane::FlowPlane(const Topology& topo, const FlowPlaneOptions& options)
   for (std::uint64_t s = 0; s < topo.num_switches(); ++s) {
     node_weight_[s] = adj.begin[s + 1] - adj.begin[s];
   }
+  dest_start_.assign(topo.num_hosts() + 1, 0);
 }
 
 std::uint64_t FlowPlane::flow_seed(std::uint64_t i) const {
@@ -133,38 +135,71 @@ std::uint64_t FlowPlane::flow_seed(std::uint64_t i) const {
 }
 
 std::uint64_t FlowPlane::admit(std::span<const Flow> flows) {
-  src_.reserve(src_.size() + flows.size());
-  dst_.reserve(dst_.size() + flows.size());
+  const std::uint64_t hosts = topo_->num_hosts();
   for (const Flow& f : flows) {
-    const auto index = static_cast<std::uint32_t>(src_.size());
-    src_.push_back(f.src.value());
-    dst_.push_back(f.dst.value());
-    fate_.push_back(static_cast<std::uint8_t>(FlowFate::kInflight));
-    fails_.push_back(0);
-    attempts_.push_back(0);
-    path_hash_.push_back(0);
-    hops_.push_back(0);
-    active_.push_back(index);
+    ASPEN_REQUIRE(f.src.value() < hosts && f.dst.value() < hosts,
+                  "flow endpoints must be hosts of the plane's topology");
   }
-  obs::count(kAdmitted, flows.size());
-  obs::trace_event(static_cast<double>(epoch_), obs::TraceKind::kFlowAdmit,
-                   static_cast<std::uint32_t>(epoch_), 0, flows.size(),
-                   "admit");
+  const std::uint64_t first = src_.size();
+  src_.resize(first + flows.size());
+  dst_.resize(first + flows.size());
+  for (std::uint64_t i = 0; i < flows.size(); ++i) {
+    src_[first + i] = flows[i].src.value();
+    dst_[first + i] = flows[i].dst.value();
+  }
+  activate(first);
   return flows.size();
 }
 
 std::uint64_t FlowPlane::admit_uniform(std::uint64_t count) {
   const std::uint64_t hosts = topo_->num_hosts();
   ASPEN_REQUIRE(hosts >= 2, "uniform admission needs at least two hosts");
-  std::vector<Flow> flows;
-  flows.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto src = static_cast<std::uint32_t>(admit_rng_.index(hosts));
+  const std::uint64_t first = src_.size();
+  src_.resize(first + count);
+  dst_.resize(first + count);
+  for (std::uint64_t i = first; i < first + count; ++i) {
+    src_[i] = static_cast<std::uint32_t>(admit_rng_.index(hosts));
     auto dst = static_cast<std::uint32_t>(admit_rng_.index(hosts - 1));
-    if (dst >= src) ++dst;
-    flows.push_back(Flow{HostId{src}, HostId{dst}});
+    if (dst >= src_[i]) ++dst;
+    dst_[i] = dst;
   }
-  return admit(flows);
+  activate(first);
+  return count;
+}
+
+void FlowPlane::activate(std::uint64_t first) {
+  const std::uint64_t end = src_.size();
+  const std::uint64_t count = end - first;
+  fate_.resize(end, static_cast<std::uint8_t>(FlowFate::kInflight));
+  fails_.resize(end, 0);
+  attempts_.resize(end, 0);
+  path_hash_.resize(end, 0);
+  hops_.resize(end, 0);
+
+  // Counting sort of the batch by destination host, written behind the
+  // surviving flows; admission order is kept within a destination.
+  std::fill(dest_start_.begin(), dest_start_.end(), 0);
+  for (std::uint64_t i = first; i < end; ++i) ++dest_start_[dst_[i] + 1];
+  std::partial_sum(dest_start_.begin(), dest_start_.end(),
+                   dest_start_.begin());
+  const std::uint64_t kept = active_.size();
+  active_.resize(kept + count);
+  for (std::uint64_t i = first; i < end; ++i) {
+    active_[kept + dest_start_[dst_[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  // Stable merge: on equal destinations the survivor (admitted earlier)
+  // stays first, so the list remains ordered by (destination, index).
+  merged_.resize(active_.size());
+  const auto mid = active_.begin() + static_cast<std::ptrdiff_t>(kept);
+  std::merge(active_.begin(), mid, mid, active_.end(), merged_.begin(),
+             [this](std::uint32_t a, std::uint32_t b) {
+               return dst_[a] < dst_[b];
+             });
+  active_.swap(merged_);
+
+  obs::count(kAdmitted, count);
+  obs::trace_event(static_cast<double>(epoch_), obs::TraceKind::kFlowAdmit,
+                   static_cast<std::uint32_t>(epoch_), 0, count, "admit");
 }
 
 FlowPlane::Attempt FlowPlane::walk_one(std::uint64_t i,
@@ -237,8 +272,8 @@ FlowStepStats FlowPlane::step(const RoutingState& knowledge,
         }
       });
 
-  // Serial fold, in admission order: update fates, detect reroutes,
-  // compact the active list in place.
+  // Serial fold in walk order: update fates, detect reroutes, compact the
+  // active list in place (which keeps its destination order).
   std::uint64_t kept = 0;
   for (std::uint64_t pos = 0; pos < active_.size(); ++pos) {
     const std::uint32_t f = active_[pos];
@@ -314,6 +349,12 @@ FlowStepStats FlowPlane::step(const RoutingState& knowledge,
                     by_fate[static_cast<int>(FlowFate::kLooped)] == looped_ &&
                     by_fate[static_cast<int>(FlowFate::kNoRoute)] == no_route_,
                 "flow fate counters disagree with per-flow fates");
+    ASPEN_CHECK(std::adjacent_find(active_.begin(), active_.end(),
+                                   [this](std::uint32_t a, std::uint32_t b) {
+                                     return dst_[a] > dst_[b] ||
+                                            (dst_[a] == dst_[b] && a >= b);
+                                   }) == active_.end(),
+                "inflight flows out of (destination, admission) order");
   }
   ASPEN_ASSERT(admitted() == delivered() + lost() + inflight(),
                "flow accounting identity violated: ", admitted(), " != ",

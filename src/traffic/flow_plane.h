@@ -10,6 +10,15 @@
 // (ecmp::walk), reading rows through ecmp::EcmpReadView and folding each
 // path into a hash, with zero allocations on the per-flow path.
 //
+// Walk order is destination order.  The inflight list is kept sorted by
+// (destination host, admission index): admit() counting-sorts each batch
+// by destination and merges it stably into the survivors, and step()'s
+// fold compacts the list in place, so no epoch sorts.  Consecutive walks
+// therefore read one destination's slice of the destination-major
+// forwarding arena instead of a random slice per flow.  Results do not
+// depend on this order: every write is indexed by flow id and every
+// counter is a sum.
+//
 // Loss accounting is integer and exact by construction: a flow is admitted
 // once, attempts delivery every epoch, and ends as exactly one of
 // delivered, lost (after `patience` consecutive failed epochs, classified
@@ -111,7 +120,8 @@ class FlowPlane {
                      const FlowPlaneOptions& options = {});
 
   /// Admits a batch of flows (each starts inflight with 0 attempts).
-  /// Returns the number admitted.
+  /// Both endpoints must be hosts of the topology.  Returns the number
+  /// admitted.
   std::uint64_t admit(std::span<const Flow> flows);
 
   /// Admits `count` uniform-random flows (src != dst) from the plane's own
@@ -185,6 +195,10 @@ class FlowPlane {
                                  std::vector<NodeId>* path_out = nullptr) const;
 
  private:
+  /// Starts flows [first, admitted()) inflight: sizes their per-flow state
+  /// and merges them, counting-sorted by destination, into active_.
+  void activate(std::uint64_t first);
+
   const Topology* topo_;
   FlowPlaneOptions options_;
   Rng admit_rng_;  ///< kStreamFlowAdmit stream for admit_uniform
@@ -202,9 +216,15 @@ class FlowPlane {
   /// kWeighted policy, precomputed once.
   std::vector<std::uint32_t> node_weight_;
 
-  std::vector<std::uint32_t> active_;  ///< inflight flow indices, ordered
+  /// Inflight flow indices, sorted by (destination host, admission
+  /// index): the order step() walks them in.
+  std::vector<std::uint32_t> active_;
 
-  // Scratch reused across step() calls (sized to the active set).
+  // Scratch reused across calls: admit()'s per-destination counts (one
+  // slot per host, plus one) and merge target, and step()'s attempts
+  // (sized to the active set).
+  std::vector<std::uint32_t> dest_start_;
+  std::vector<std::uint32_t> merged_;
   std::vector<Attempt> attempt_scratch_;
 
   std::uint64_t delivered_ = 0;

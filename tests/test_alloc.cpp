@@ -1,11 +1,12 @@
-// Exact heap-allocation counts for the event loop.
+// Exact heap-allocation counts for the event loop and flow admission.
 //
 // This executable, and only this one, replaces the global operator new and
 // operator delete with counting versions, so the counts are exact: no
 // sampling, no timing.  A protocol reaction must stay below 0.1 heap
 // allocations per simulator event (scheduling and dispatching an event
-// never allocates once the queue is warm), and a warmed Simulator must run
-// self-rescheduling events without allocating at all.
+// never allocates once the queue is warm), a warmed Simulator must run
+// self-rescheduling events without allocating at all, and admitting flow
+// batches must grow the flow plane's arrays geometrically.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "src/proto/anp.h"
 #include "src/proto/lsp.h"
 #include "src/sim/simulator.h"
+#include "src/traffic/flow_plane.h"
 
 namespace {
 
@@ -154,6 +156,21 @@ TEST(Allocations, WarmedSimulatorSchedulesWithoutAllocating) {
   const std::uint64_t allocated = allocations() - before;
   EXPECT_EQ(run.events, 100'000u);
   EXPECT_EQ(allocated, 0u);
+}
+
+TEST(Allocations, UniformAdmissionGrowsGeometrically) {
+  // Per-flow arrays and the inflight list grow geometrically and uniform
+  // flows are drawn straight into them, so many small batches cost fewer
+  // allocations than there are batches.
+  FlowPlane plane(tree());
+  const std::uint64_t before = allocations();
+  for (int batch = 0; batch < 256; ++batch) plane.admit_uniform(256);
+  const std::uint64_t allocated = allocations() - before;
+  std::printf("[ alloc    ] 256 admit_uniform batches of 256 flows: %llu "
+              "allocations\n",
+              static_cast<unsigned long long>(allocated));
+  EXPECT_EQ(plane.inflight(), 256u * 256u);
+  EXPECT_LT(allocated, 256u);
 }
 
 }  // namespace

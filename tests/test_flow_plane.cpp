@@ -1,7 +1,8 @@
 // Flow-plane differential harness (ISSUE 10): every path the flow plane
 // picks must byte-match an independent packet_walk replay under the same
 // seed — healthy, under each single-link failure, and across a gray link —
-// plus thread-invariance, loop-freedom/TTL, ECMP-policy distribution
+// plus thread-invariance, walk-order independence against an
+// admission-order reference, loop-freedom/TTL, ECMP-policy distribution
 // properties, exact campaign loss accounting, and the flow_chaos golden
 // trace.
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "src/traffic/flow_plane.h"
 #include "src/traffic/patterns.h"
 #include "src/util/rng.h"
+#include "src/util/status.h"
 #include "tests/trace_golden.h"
 
 namespace aspen {
@@ -201,6 +203,189 @@ TEST(FlowPlaneDeterminism, ByteIdenticalFatesAcrossThreadCounts) {
   for (const int threads : {2, 4, 8}) {
     EXPECT_EQ(base, run_at(threads)) << threads << " threads";
   }
+}
+
+// ---- walk-order independence -------------------------------------------
+
+/// A serial reference kept in admission order: it walks every inflight flow
+/// with plane.walk_one and applies step()'s documented fold, so any flow the
+/// plane's destination-ordered list drops, repeats or mis-folds shows up as
+/// a per-flow or counter mismatch.
+struct AdmissionOrderReference {
+  std::vector<FlowFate> fate;
+  std::vector<int> fails;
+  std::vector<std::uint32_t> attempts;
+  std::vector<std::uint64_t> path_hash;
+  std::vector<std::uint16_t> hops;
+  std::vector<std::uint32_t> active;  ///< inflight, in admission order
+  FlowStepStats totals;
+
+  void admit_up_to(std::uint64_t admitted) {
+    for (std::uint64_t i = fate.size(); i < admitted; ++i) {
+      active.push_back(static_cast<std::uint32_t>(i));
+    }
+    fate.resize(admitted, FlowFate::kInflight);
+    fails.resize(admitted, 0);
+    attempts.resize(admitted, 0);
+    path_hash.resize(admitted, 0);
+    hops.resize(admitted, 0);
+  }
+
+  FlowStepStats step(const FlowPlane& plane, const RoutingState& knowledge,
+                     const LinkStateOverlay& actual, double at_time_ms,
+                     int patience) {
+    const ecmp::EcmpReadView view(knowledge);
+    FlowStepStats stats;
+    stats.attempted = active.size();
+    std::vector<std::uint32_t> kept;
+    for (const std::uint32_t f : active) {
+      const FlowPlane::Attempt attempt =
+          plane.walk_one(f, view, actual, at_time_ms);
+      ++attempts[f];
+      if (path_hash[f] != 0 && attempt.path_hash != path_hash[f]) {
+        ++stats.reroutes;
+      }
+      path_hash[f] = attempt.path_hash;
+      hops[f] = attempt.hops;
+      if (attempt.outcome == FlowFate::kDelivered) {
+        fate[f] = FlowFate::kDelivered;
+        ++stats.delivered;
+        continue;
+      }
+      if (++fails[f] >= patience) {
+        fate[f] = attempt.outcome;
+        switch (attempt.outcome) {
+          case FlowFate::kBlackholed: ++stats.blackholed; break;
+          case FlowFate::kLooped: ++stats.looped; break;
+          case FlowFate::kNoRoute: ++stats.no_route; break;
+          default: ADD_FAILURE() << "non-terminal walk outcome";
+        }
+        continue;
+      }
+      kept.push_back(f);
+    }
+    active = std::move(kept);
+    totals.delivered += stats.delivered;
+    totals.blackholed += stats.blackholed;
+    totals.looped += stats.looped;
+    totals.no_route += stats.no_route;
+    totals.reroutes += stats.reroutes;
+    return stats;
+  }
+};
+
+void expect_matches_reference(const FlowPlane& plane,
+                              const AdmissionOrderReference& ref,
+                              const std::string& context) {
+  ASSERT_EQ(ref.fate.size(), plane.admitted()) << context;
+  for (std::uint64_t i = 0; i < plane.admitted(); ++i) {
+    ASSERT_EQ(ref.fate[i], plane.fate(i)) << context << " flow " << i;
+    ASSERT_EQ(ref.path_hash[i], plane.path_hash(i))
+        << context << " flow " << i;
+    ASSERT_EQ(ref.hops[i], plane.hops(i)) << context << " flow " << i;
+    ASSERT_EQ(ref.attempts[i], plane.attempts(i)) << context << " flow " << i;
+  }
+  EXPECT_EQ(ref.active.size(), plane.inflight()) << context;
+  EXPECT_EQ(ref.totals.delivered, plane.delivered()) << context;
+  EXPECT_EQ(ref.totals.blackholed, plane.blackholed()) << context;
+  EXPECT_EQ(ref.totals.looped, plane.looped()) << context;
+  EXPECT_EQ(ref.totals.no_route, plane.no_route()) << context;
+  EXPECT_EQ(ref.totals.reroutes, plane.reroutes()) << context;
+}
+
+TEST(FlowPlaneWalkOrder, MatchesAdmissionOrderReference) {
+  const Topology topo = fig3_topology("<0,2,0>");
+  const RoutingState stale = compute_updown_routes(topo);
+  const LinkId first_cut = topo.links_at_level(2).front();
+  const LinkId second_cut = topo.host_uplink(HostId{17}).link;
+  // Per-host tables that know one host's uplink is down: every row toward
+  // that host is empty, so flows to it fail as no_route.
+  const HostId victim{5};
+  LinkStateOverlay victim_down(topo);
+  victim_down.fail(topo.host_uplink(victim).link);
+  const RoutingState host_tables =
+      compute_updown_routes(topo, victim_down, DestGranularity::kHost);
+  std::vector<Flow> toward_victim;
+  for (std::uint32_t s = 0; s < topo.num_hosts(); s += 9) {
+    if (HostId{s} != victim) toward_victim.push_back(Flow{HostId{s}, victim});
+  }
+
+  for (const NextHopPolicy policy :
+       {NextHopPolicy::kSeededHash, NextHopPolicy::kLowest,
+        NextHopPolicy::kWeighted}) {
+    for (const int threads : {1, 4}) {
+      FlowPlaneOptions options;
+      options.base_seed = 23;
+      options.policy = policy;
+      options.threads = threads;
+      options.patience = 2;
+      FlowPlane plane(topo, options);
+      AdmissionOrderReference ref;
+      LinkStateOverlay actual(topo);
+      const std::string config = std::string(to_cstring(policy)) + ", " +
+                                 std::to_string(threads) + " threads";
+
+      const auto step_both = [&](const RoutingState& knowledge) {
+        ref.admit_up_to(plane.admitted());
+        const auto at = static_cast<double>(plane.epochs());
+        const std::string context =
+            config + ", epoch " + std::to_string(plane.epochs());
+        const FlowStepStats want =
+            ref.step(plane, knowledge, actual, at, options.patience);
+        const FlowStepStats got = plane.step(knowledge, actual, at);
+        EXPECT_EQ(want.attempted, got.attempted) << context;
+        EXPECT_EQ(want.delivered, got.delivered) << context;
+        EXPECT_EQ(want.lost(), got.lost()) << context;
+        EXPECT_EQ(want.reroutes, got.reroutes) << context;
+        expect_matches_reference(plane, ref, context);
+      };
+      // Each new batch is merged with the stragglers of the epoch before.
+      const auto admit_batch = [&](std::uint64_t count) {
+        EXPECT_GT(plane.inflight(), 0u)
+            << config << ", epoch " << plane.epochs() << ": no straggler";
+        plane.admit_uniform(count);
+      };
+
+      // Stale tables: the fabric loses links the tables never hear of, so
+      // flows routed across them fail, wait an epoch and are merged with
+      // the next batch; a flow that fails twice is blackholed.
+      actual.fail(first_cut);
+      plane.admit_uniform(400);
+      step_both(stale);
+      admit_batch(400);
+      step_both(stale);
+      actual.recover(first_cut);
+      actual.fail(second_cut);
+      admit_batch(400);
+      step_both(stale);
+      // The victim's uplink goes down and the tables know it.
+      actual.recover(second_cut);
+      actual.fail(topo.host_uplink(victim).link);
+      admit_batch(400);
+      plane.admit(toward_victim);
+      step_both(host_tables);
+      admit_batch(400);
+      step_both(host_tables);
+      // Everything heals: the rest delivers.
+      actual.recover_all();
+      step_both(stale);
+
+      EXPECT_EQ(0u, plane.inflight()) << config;
+      EXPECT_GT(plane.blackholed(), 0u) << config;
+      EXPECT_GT(plane.no_route(), 0u) << config;
+    }
+  }
+}
+
+TEST(FlowPlaneAdmission, RejectsEndpointsOutsideTheTopology) {
+  const Topology topo = small_topology();
+  FlowPlane plane(topo, {});
+  const auto hosts = static_cast<std::uint32_t>(topo.num_hosts());
+  const Flow flows[] = {Flow{HostId{0}, HostId{1}},
+                        Flow{HostId{0}, HostId{hosts}}};
+  EXPECT_THROW(plane.admit(flows), PreconditionError);
+  EXPECT_EQ(0u, plane.admitted());
+  EXPECT_EQ(0u, plane.inflight());
 }
 
 // ---- loop freedom and TTL ----------------------------------------------

@@ -1,4 +1,4 @@
-// Unit tests for the utility substrate: ids, status, math, rng, table, log.
+// Unit tests for the utility substrate: ids, status, math, rng, table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "src/util/ids.h"
-#include "src/util/log.h"
 #include "src/util/math.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -210,19 +209,6 @@ TEST(Table, AsciiBar) {
   EXPECT_EQ(ascii_bar(0, 10, 4), "");
   EXPECT_EQ(ascii_bar(-1, 10, 4), "");
   EXPECT_EQ(ascii_bar(1, 0, 4), "");
-}
-
-TEST(Log, LevelGating) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kWarn);
-  EXPECT_FALSE(log_enabled(LogLevel::kDebug));
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo));
-  EXPECT_TRUE(log_enabled(LogLevel::kWarn));
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
-  set_log_level(LogLevel::kOff);
-  EXPECT_FALSE(log_enabled(LogLevel::kError));
-  EXPECT_FALSE(log_enabled(LogLevel::kOff));
-  set_log_level(saved);
 }
 
 }  // namespace
