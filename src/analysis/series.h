@@ -2,7 +2,7 @@
 //
 // Each pair is an n-level, k-port fat tree and the (n+1)-level Aspen tree
 // with FTV <k/2−1, 0, …, 0> supporting the same hosts (§9.2).  The small
-// pairs are simulated with the DES (bench_fig10_simulation); the large
+// pairs are simulated with the DES (`bench_paper fig10_simulation`); the large
 // pairs use the analytic models here, exactly as the paper's Figs. 10(c)/(d)
 // do ("since the model checker scales to at most a few hundred switches, we
 // use additional analysis for mega data center sized networks").

@@ -34,8 +34,8 @@
 // first replays its schedule on a copy of the plane to find the LSA
 // origins and the post-run routes.  The model is conservative for partial
 // knowledge — a switch that heard about only some of a run's events keeps
-// its old tables rather than computing a mixed view (the LSDB cross-check
-// in lsp_full.h models per-switch views exactly, for single events).
+// its old tables rather than computing a mixed view (the LSDB oracle in
+// tests/lsp_full.h models per-switch views exactly, for single events).
 #pragma once
 
 #include <cstdint>

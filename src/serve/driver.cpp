@@ -172,7 +172,7 @@ bool ServeChaosReport::passed() const {
 ServeChaosReport run_serve_under_chaos(ProtocolKind kind,
                                        const Topology& topo,
                                        const ServeChaosOptions& options) {
-  ASPEN_REQUIRE(options.num_queries >= 0, "num_queries must be >= 0");
+  ASPEN_REQUIRE(options.num_queries >= 1, "num_queries must be >= 1");
   ASPEN_REQUIRE(options.num_clients >= 1, "need at least one client");
   ASPEN_REQUIRE(options.seal_every_actions >= 1,
                 "seal cadence must be >= 1 action");

@@ -171,8 +171,8 @@ class FlowPlane {
   [[nodiscard]] std::uint16_t hops(std::uint64_t i) const { return hops_[i]; }
 
   /// Order-aware fold over every flow's (fate, path hash, hop count,
-  /// attempts) — the byte-identity witness the determinism tests and
-  /// bench_flow_plane compare across thread counts.
+  /// attempts) — the byte-identity witness the determinism and campaign
+  /// tests compare across thread counts.
   [[nodiscard]] std::uint64_t fate_fingerprint() const;
 
   // ---- single-flow oracle hook -----------------------------------------

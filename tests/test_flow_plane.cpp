@@ -476,6 +476,33 @@ TEST(FlowPlaneCampaign, FiftyStepAccountingIdentityExact) {
   }
 }
 
+// A 12-action fault/heal campaign with 12,000 flows gives every flow the
+// same fate at plane threads 1, 2 and 4, for both protocols.
+TEST(FlowPlaneCampaign, FateFingerprintIdenticalAcrossPlaneThreads) {
+  const Topology topo = fig3_topology("<0,2,0>");
+  for (const ProtocolKind kind : {ProtocolKind::kAnp, ProtocolKind::kLsp}) {
+    std::uint64_t serial = 0;
+    for (const int threads : {1, 2, 4}) {
+      FlowChaosOptions options;
+      options.chaos.seed = 7;
+      options.chaos.num_events = 12;
+      options.chaos.check_flows = 16;
+      options.plane.base_seed = 2026;
+      options.plane.threads = threads;
+      options.total_flows = 12000;
+      const FlowChaosReport report = run_flow_chaos(kind, topo, options);
+
+      EXPECT_EQ(12000u, report.admitted) << to_cstring(kind);
+      EXPECT_EQ(report.admitted,
+                report.delivered + report.lost + report.inflight)
+          << to_cstring(kind);
+      if (threads == 1) serial = report.fate_fingerprint;
+      EXPECT_EQ(serial, report.fate_fingerprint)
+          << to_cstring(kind) << " at " << threads << " plane threads";
+    }
+  }
+}
+
 // ---- ECMP policy properties ---------------------------------------------
 
 // Seeded-hash ECMP must spread flows across all equal-cost uplinks.  The

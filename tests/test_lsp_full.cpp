@@ -4,9 +4,9 @@
 
 #include "src/aspen/generator.h"
 #include "src/proto/lsp.h"
-#include "src/proto/lsp_full.h"
 #include "src/routing/reachability.h"
 #include "src/util/status.h"
+#include "tests/lsp_full.h"
 
 namespace aspen {
 namespace {

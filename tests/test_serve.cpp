@@ -654,6 +654,38 @@ TEST(ServeUnderChaos, ReportFingerprintIsThreadCountInvariant) {
   parallel::set_num_threads(1);
 }
 
+// Overload on the Fig. 3 <0,0,2> tree: 1,000 queries arriving every
+// 0.2 ms against a watermark of two in-flight queries and a 2 ms what-if
+// class.  The server must shed rather than queue without bound, client
+// retries must still get answers through, and every answer must stay
+// audit-clean.
+TEST(ServeUnderChaos, OverloadShedsYetStillAnswersAuditClean) {
+  const Topology topo = make_tree({0, 0, 2}, 6);
+  ServeChaosOptions options;
+  options.chaos.seed = 17;
+  options.chaos.num_events = 40;
+  options.chaos.check_flows = 64;
+  options.chaos.check_every = 10;
+  options.num_queries = 1000;
+  options.num_clients = 8;
+  options.query_interarrival_ms = 0.2;
+  options.action_every_ms = 1000 * 0.2 / 41.0;  // chaos spans the arrivals
+  options.checkpoint_every = 1000 / 6;
+  options.client.channel.drop_rate = 0.15;
+  options.client.channel.duplicate_rate = 0.05;
+  options.client.channel.jitter_ms = 0.3;
+  options.server.inflight_watermark = 2;
+  options.server.what_if_service_ms = 2.0;
+  const ServeChaosReport report =
+      run_serve_under_chaos(ProtocolKind::kAnp, topo, options);
+
+  EXPECT_GT(report.server.shed, 0u);
+  EXPECT_GT(report.clients.shed_seen, 0u);
+  EXPECT_GT(report.answered, 0u);
+  EXPECT_EQ(report.audit_mismatches, 0u)
+      << (report.audit_messages.empty() ? "" : report.audit_messages[0]);
+}
+
 // ---- Golden trace ------------------------------------------------------
 
 ServeChaosOptions golden_serve_options() {

@@ -947,6 +947,21 @@ int cmd_trace(const std::vector<std::string>& args) {
   return rc;
 }
 
+/// "p50/p99" of a raw latency sample, linearly interpolated between ranks
+/// (0 for an empty sample).
+std::string p50_p99(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const auto at = [&values](double p) {
+    if (values.empty()) return 0.0;
+    const double rank = p * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] +
+           (values[hi] - values[lo]) * (rank - static_cast<double>(lo));
+  };
+  return format_double(at(0.50), 2) + "/" + format_double(at(0.99), 2);
+}
+
 // Serve-under-chaos campaign: a fleet of retrying clients fires route /
 // what-if / loss queries over lossy channels while a chaos campaign
 // mutates the fabric; every answer is labeled with its snapshot digest and
@@ -1018,6 +1033,10 @@ int cmd_serve(const std::vector<std::string>& args) {
   table.add_row({"snapshot seals / checkpoints",
                  std::to_string(report.seals) + " / " +
                      std::to_string(report.checkpoints_cut)});
+  table.add_row({"answer ms p50/p99 (route, what-if, loss)",
+                 p50_p99(report.route_latency_ms) + ", " +
+                     p50_p99(report.what_if_latency_ms) + ", " +
+                     p50_p99(report.loss_latency_ms)});
   if (report.staleness_ms.count() > 0) {
     table.add_row({"staleness ms (avg/max)",
                    format_double(report.staleness_ms.mean(), 2) + " / " +
